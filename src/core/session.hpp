@@ -129,7 +129,7 @@ struct SharedEngine {
 /// O(delta) generation step: overlay `current` with one corpus delta and
 /// return the next immutable generation. `current` is untouched and keeps
 /// serving (callers flip to the returned handle when ready — the serve
-/// registry's drain-gated swap); a failed apply throws and publishes
+/// registry's generation pointer); a failed apply throws and publishes
 /// nothing. Cost is proportional to the delta's record text plus cheap
 /// per-apply table refreshes — the base index is never rebuilt.
 [[nodiscard]] std::shared_ptr<const SharedEngine> apply_corpus_delta(

@@ -95,10 +95,10 @@ struct DeltaApplyMetrics {
 /// delta segments with the engine it was applied on; it owns the
 /// per-apply derived tables and, once someone asks for it, a lazily
 /// materialized merged corpus. Applying is a *constructor*:
-/// the previous engine is left untouched and keeps serving (that is the
-/// serve layer's drain-gated generation flip), and a failed apply — bad
-/// delta, injected "search.delta.segment" fault — throws before anything
-/// is published.
+/// the previous engine is left untouched and keeps serving (so the serve
+/// layer flips generations without waiting for requests on the old one),
+/// and a failed apply — bad delta, injected "search.delta.segment" fault —
+/// throws before anything is published.
 class SegmentedEngine final : public QueryEngine {
 public:
     /// First delta over a plain base engine.

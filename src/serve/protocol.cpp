@@ -50,7 +50,7 @@ const std::vector<MessageTypeInfo>& known_message_types() {
         {MsgType::SessionClose, "session.close", "drop a session and free its overlay"},
         {MsgType::SessionList, "session.list", "enumerate open sessions"},
         {MsgType::Query, "query",
-         "free-text search against the shared engine (sessionless, lock-free)"},
+         "free-text search against the live generation (sessionless; never waits on a flip)"},
         {MsgType::Associate, "associate",
          "a session's association table: Table 1 rows plus per-class totals"},
         {MsgType::WhatIf, "whatif",
@@ -61,9 +61,9 @@ const std::vector<MessageTypeInfo>& known_message_types() {
         {MsgType::Metrics, "metrics",
          "server/registry counters, or one session's AssocMetrics when `session` is set"},
         {MsgType::SnapshotSwap, "snapshot.swap",
-         "admin: load a new snapshot, drain in-flight requests, switch generations"},
+         "admin: load a new snapshot and switch generations; running requests keep theirs"},
         {MsgType::DeltaApply, "delta.apply",
-         "admin: apply a frozen corpus delta in O(delta), drain, switch generations"},
+         "admin: apply a frozen corpus delta in O(delta) and switch generations"},
         {MsgType::Compact, "compact",
          "admin: fold delta segments into a fresh base generation and switch to it"},
         {MsgType::Shutdown, "shutdown", "admin: graceful stop after the response is written"},

@@ -106,7 +106,7 @@ enum class MsgType : std::uint8_t {
     Posture,      ///< a session's per-component security posture
     FlowAnalyze,  ///< a session's dataflow fixpoint view (taint/slices/chokepoints)
     Metrics,      ///< server/registry counters, or one session's AssocMetrics
-    SnapshotSwap, ///< admin: drain in-flight requests, switch to a new snapshot
+    SnapshotSwap, ///< admin: switch to a new snapshot generation
     DeltaApply,   ///< admin: apply a frozen corpus delta as a new generation
     Compact,      ///< admin: fold delta segments into a fresh base generation
     Shutdown,     ///< admin: graceful stop after the response is written

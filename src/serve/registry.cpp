@@ -21,7 +21,7 @@ std::shared_ptr<const core::SharedEngine> load_generation(const std::string& sna
     // Keep the snapshot's backing storage alive for the generation's whole
     // lifetime: on the zero-copy path the engine reads the mmap'd file in
     // place, so the mapping (one physical copy, shared by every session of
-    // the generation and surviving hot swaps until the last lease drops)
+    // the generation and surviving hot swaps until the last pin drops)
     // must outlive the engine.
     handle->slab_backing = std::move(snap.slab_backing);
     handle->mapping = std::move(snap.mapping);
@@ -108,9 +108,6 @@ std::string SessionRegistry::open(const std::string& model_dsl) {
                                 std::string("model DSL rejected: ") + e.what());
         }
     }
-    // Lock order is always swap_gate_ before mutex_ (swap() relies on it),
-    // so pin the generation before taking the registry lock.
-    std::shared_ptr<const Generation> gen = current();
     std::lock_guard<std::mutex> lk(mutex_);
     if (sessions_.size() >= options_.max_sessions) {
         ++stats_.session_limit_rejections;
@@ -121,9 +118,9 @@ std::string SessionRegistry::open(const std::string& model_dsl) {
     std::string id = "s-" + std::to_string(next_session_++);
     std::shared_ptr<ServeSession> session;
     if (own.has_value()) {
-        session = std::make_shared<ServeSession>(id, gen, std::move(*own), session_options());
+        session = std::make_shared<ServeSession>(id, current_, std::move(*own), session_options());
     } else {
-        session = std::make_shared<ServeSession>(id, gen, base_analysis_for(gen));
+        session = std::make_shared<ServeSession>(id, current_, base_analysis_for(current_));
     }
     sessions_.emplace_back(id, std::move(session));
     ++stats_.total_opened;
@@ -158,66 +155,45 @@ std::vector<SessionInfo> SessionRegistry::list() const {
 }
 
 RegistryStats SessionRegistry::stats() const {
-    // swap_gate_ (inside current()) is never taken while holding mutex_.
-    const std::shared_ptr<const Generation> gen = current();
     std::lock_guard<std::mutex> lk(mutex_);
     RegistryStats s = stats_;
     s.open_sessions = sessions_.size();
-    s.current_generation = gen->id;
-    s.current_segments =
-        gen->engine->segmented != nullptr ? gen->engine->segmented->segment_count() : 0;
+    s.current_generation = current_->id;
+    s.current_segments = current_->engine->segmented != nullptr
+                             ? current_->engine->segmented->segment_count()
+                             : 0;
     return s;
 }
 
 std::uint64_t SessionRegistry::flip_generation(std::shared_ptr<const core::SharedEngine> fresh,
                                                std::string source, FlipKind kind) {
-    // Announce the flip so new leases park instead of piling onto the
-    // shared side (reader-preferring rwlocks would otherwise let a
-    // saturating request load starve this exclusive acquisition forever).
-    // The announcement must be withdrawn on every path out, or parked
-    // leases would wait forever.
-    swap_pending_.fetch_add(1, std::memory_order_acq_rel);
-    const auto withdraw = [this]() noexcept {
-        {
-            std::lock_guard<std::mutex> lk(swap_wait_mutex_);
-            swap_pending_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        swap_wait_cv_.notify_all();
-    };
-    std::uint64_t id = 0;
-    try {
-        // Exclusive acquisition waits for every outstanding ReadLease:
-        // this IS the drain — each in-flight request completes against
-        // the generation it pinned before we flip the pointer.
-        std::unique_lock<std::shared_mutex> gate(swap_gate_);
-        std::lock_guard<std::mutex> lk(mutex_);
-        id = next_generation_++;
-        current_ = std::make_shared<const Generation>(
-            Generation{id, std::move(fresh), std::move(source)});
-        switch (kind) {
-        case FlipKind::Swap: ++stats_.swaps; break;
-        case FlipKind::Delta: ++stats_.deltas_applied; break;
-        case FlipKind::Compact: ++stats_.compactions; break;
-        }
-        stats_.current_generation = id;
-        // The old base analysis still serves sessions pinned to the old
-        // generation; dropping our reference here lets it die with them.
-        // A fresh one is built lazily on the next base-overlay open.
-        base_analysis_.reset();
-        base_analysis_generation_ = 0;
-    } catch (...) {
-        withdraw();
-        throw;
+    // Publishing is one pointer store: requests in flight keep the
+    // generation they pinned, so there is nothing to wait for. The old
+    // generation and base analysis are released after the lock, so freeing
+    // them (when nothing else pins them) never stalls find() or open().
+    std::shared_ptr<const Generation> retired;
+    std::shared_ptr<ServeSession::BaseAnalysis> retired_base;
+    std::lock_guard<std::mutex> lk(mutex_);
+    const std::uint64_t id = next_generation_++;
+    retired = std::exchange(current_, std::make_shared<const Generation>(
+                                          Generation{id, std::move(fresh), std::move(source)}));
+    switch (kind) {
+    case FlipKind::Swap: ++stats_.swaps; break;
+    case FlipKind::Delta: ++stats_.deltas_applied; break;
+    case FlipKind::Compact: ++stats_.compactions; break;
     }
-    withdraw();
+    stats_.current_generation = id;
+    // The old base analysis still serves sessions pinned to the old
+    // generation; a fresh one is built lazily on the next base-overlay open.
+    retired_base = std::move(base_analysis_);
+    base_analysis_generation_ = 0;
     return id;
 }
 
 std::uint64_t SessionRegistry::swap(const std::string& snapshot_path) {
     std::lock_guard<std::mutex> admin(admin_mutex_);
-    // Thaw the new generation *before* taking the gate: seconds of IO and
-    // table fill must not stall in-flight requests, and a corrupt blob
-    // must be rejected while the old generation is still untouched.
+    // Thaw the new generation before the flip: a corrupt blob must be
+    // rejected while the old generation is still untouched.
     std::shared_ptr<const core::SharedEngine> fresh;
     try {
         fresh = load_generation(snapshot_path);
@@ -230,10 +206,9 @@ std::uint64_t SessionRegistry::swap(const std::string& snapshot_path) {
 
 std::uint64_t SessionRegistry::apply_delta(const std::string& delta_path) {
     std::lock_guard<std::mutex> admin(admin_mutex_);
-    // Decode and apply *before* the gate: O(delta) segment construction
-    // must not stall in-flight requests, and any failure — unreadable
-    // blob, validation error, injected segment-build fault — leaves the
-    // live generation untouched and authoritative. admin_mutex_ keeps a
+    // Decode and apply before the flip: any failure — unreadable blob,
+    // validation error, injected segment-build fault — leaves the live
+    // generation untouched and authoritative. admin_mutex_ keeps a
     // concurrent swap/compact from flipping under us, so the overlay is
     // guaranteed to be built against the generation we publish over.
     std::shared_ptr<const core::SharedEngine> next;
@@ -274,16 +249,15 @@ std::uint64_t SessionRegistry::compact() {
 search::AssocMetrics SessionRegistry::aggregate_metrics() const {
     std::vector<std::shared_ptr<ServeSession>> sessions;
     std::shared_ptr<ServeSession::BaseAnalysis> base;
+    std::shared_ptr<const Generation> live;
+    search::AssocMetrics total;
     {
         std::lock_guard<std::mutex> lk(mutex_);
         sessions.reserve(sessions_.size());
         for (const auto& [sid, session] : sessions_) sessions.push_back(session);
         base = base_analysis_;
-    }
-    search::AssocMetrics total;
-    {
+        live = current_;
         // Registry-level absorbed failures (failed compaction folds).
-        std::lock_guard<std::mutex> lk(mutex_);
         total.degrade.merge(degrade_);
     }
     // Each generation's cold-start degradations count once, no matter how
@@ -311,7 +285,7 @@ search::AssocMetrics SessionRegistry::aggregate_metrics() const {
     }
     // Even with no sessions yet, surface the live generation's cold start
     // (e.g. a stale snapshot fallback at serve startup).
-    count_engine(current()->engine.get());
+    count_engine(live->engine.get());
     return total;
 }
 

@@ -22,14 +22,14 @@
 //
 // Hot swap. swap() installs a new engine generation from a snapshot blob:
 // the blob is thawed *outside* any lock (seconds of work), then the
-// registry's generation pointer flips under the swap gate's exclusive
-// lock. Request handlers hold the gate shared for the duration of each
-// request (ReadLease), so acquiring the exclusive lock IS the drain: every
-// in-flight request completes against the generation it pinned before the
-// flip, and no request ever observes a half-switched registry. Sessions
-// opened before the swap stay pinned to their original generation (their
-// association state indexes the old corpus); new sessions get the new one.
-// The old generation is freed when its last session closes.
+// registry's generation pointer is replaced under the registry lock — one
+// pointer store. Generations are immutable, and every request and session
+// pins the one it uses by shared_ptr, so a flip never waits for anyone: an
+// in-flight request finishes on the generation it pinned, and a request
+// that starts after the flip sees the new one. Sessions opened before the
+// swap stay pinned to their original generation (their association state
+// indexes the old corpus); new sessions get the new one. An old generation
+// is freed when its last pin drops.
 //
 // Admission control. open() enforces max_sessions with a typed
 // session_limit rejection; the server layers a bounded request queue with
@@ -38,17 +38,15 @@
 // Thread-safety: every public member is safe to call from any number of
 // server lanes concurrently. Per-session operations serialize on the
 // session's own mutex (or the shared base-analysis mutex while unforked);
-// registry bookkeeping is under an internal lock; swap drains via the
-// reader-writer gate described above.
+// the generation pointer and the registry bookkeeping are under one
+// internal lock that is never held across analysis work.
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -203,34 +201,10 @@ public:
     SessionRegistry(const SessionRegistry&) = delete;
     SessionRegistry& operator=(const SessionRegistry&) = delete;
 
-    /// RAII drain gate + pinned generation for one request. Handlers hold
-    /// one for the duration of request execution; swap() waits for all
-    /// outstanding leases (that is the documented drain).
-    class ReadLease {
-    public:
-        explicit ReadLease(const SessionRegistry& r) {
-            // Writer-preference shim: platform rwlocks may favor readers
-            // (glibc's default), so a saturating request load could
-            // otherwise hold the gate shared forever and starve swap().
-            // New leases wait out a pending swap before joining.
-            r.await_swap_clear();
-            lock_ = std::shared_lock<std::shared_mutex>(r.swap_gate_);
-            gen_ = r.snapshot_current();
-        }
-        [[nodiscard]] const std::shared_ptr<const Generation>& generation() const noexcept {
-            return gen_;
-        }
-
-    private:
-        std::shared_lock<std::shared_mutex> lock_;
-        std::shared_ptr<const Generation> gen_;
-    };
-
-    /// The live generation (for callers outside a lease).
+    /// The live generation, pinned for as long as the caller holds it.
     [[nodiscard]] std::shared_ptr<const Generation> current() const {
-        await_swap_clear();
-        std::shared_lock<std::shared_mutex> lk(swap_gate_);
-        return snapshot_current();
+        std::lock_guard<std::mutex> lk(mutex_);
+        return current_;
     }
 
     /// Open a session. Empty `model_dsl` = copy-on-write overlay of the
@@ -253,16 +227,16 @@ public:
     [[nodiscard]] std::vector<SessionInfo> list() const;
     [[nodiscard]] RegistryStats stats() const;
 
-    /// Install a new generation from a snapshot blob: thaw outside the
-    /// gate, drain in-flight leases, flip. Returns the new generation id.
+    /// Install a new generation from a snapshot blob: thaw outside any
+    /// lock, then flip. Returns the new generation id.
     /// Throws ProtocolError(SwapFailed) on an unusable blob; the old
     /// generation keeps serving in that case.
     std::uint64_t swap(const std::string& snapshot_path);
 
     /// Install the next generation by applying a frozen corpus delta
     /// (kb::freeze_corpus_delta blob at `delta_path`) over the live
-    /// generation in O(delta) — the feed-tick path. Same drain-gated flip
-    /// as swap(); sessions opened before the apply stay pinned to their
+    /// generation in O(delta) — the feed-tick path. Same pointer flip as
+    /// swap(); sessions opened before the apply stay pinned to their
     /// generation. Throws ProtocolError(DeltaFailed) on an unreadable
     /// blob, a validation failure, or a non-BM25 engine; the old
     /// generation keeps serving and nothing is published.
@@ -285,25 +259,12 @@ public:
     [[nodiscard]] const RegistryOptions& options() const noexcept { return options_; }
 
 private:
-    [[nodiscard]] const std::shared_ptr<const Generation>& snapshot_current() const noexcept {
-        return current_;
-    }
-    /// Block while any swap() is between announcing itself and releasing
-    /// the gate. Keeps the reader stream from starving the exclusive
-    /// acquisition on reader-preferring rwlock implementations.
-    void await_swap_clear() const {
-        if (swap_pending_.load(std::memory_order_acquire) == 0) return;
-        std::unique_lock<std::mutex> lk(swap_wait_mutex_);
-        swap_wait_cv_.wait(
-            lk, [this] { return swap_pending_.load(std::memory_order_acquire) == 0; });
-    }
     [[nodiscard]] core::SessionOptions session_options() const;
     /// What kind of generation flip a counter should attribute.
     enum class FlipKind : std::uint8_t { Swap, Delta, Compact };
-    /// The shared drain-gated pointer flip behind swap/apply_delta/compact:
-    /// announce, drain every ReadLease, publish `fresh`, drop the old base
-    /// analysis. The expensive/fallible construction of `fresh` has already
-    /// happened outside the gate.
+    /// The pointer flip behind swap/apply_delta/compact: publish `fresh`
+    /// and drop the old base analysis. The expensive/fallible construction
+    /// of `fresh` has already happened outside the lock.
     std::uint64_t flip_generation(std::shared_ptr<const core::SharedEngine> fresh,
                                   std::string source, FlipKind kind);
     /// The base analysis for `gen`, created lazily on the first
@@ -316,17 +277,12 @@ private:
 
     /// Serializes generation *mutators* (swap/apply_delta/compact) against
     /// each other, so an apply computed against generation G can never
-    /// clobber a flip that landed in between. Never blocks request leases.
-    /// Lock order: admin_mutex_ -> swap_gate_ -> mutex_.
+    /// clobber a flip that landed in between. Never blocks requests.
+    /// Lock order: admin_mutex_ -> mutex_.
     std::mutex admin_mutex_;
 
-    mutable std::shared_mutex swap_gate_; ///< shared = request in flight, exclusive = swap
-    std::shared_ptr<const Generation> current_; ///< guarded by swap_gate_
-    mutable std::atomic<int> swap_pending_{0};  ///< swaps between announce and flip
-    mutable std::mutex swap_wait_mutex_;        ///< with swap_wait_cv_: lease parking lot
-    mutable std::condition_variable swap_wait_cv_;
-
-    mutable std::mutex mutex_; ///< sessions_ + counters + base_analysis_
+    mutable std::mutex mutex_; ///< current_ + sessions_ + counters + base_analysis_
+    std::shared_ptr<const Generation> current_;
     std::vector<std::pair<std::string, std::shared_ptr<ServeSession>>> sessions_;
     std::shared_ptr<ServeSession::BaseAnalysis> base_analysis_; ///< for current_ generation
     std::uint64_t base_analysis_generation_ = 0;

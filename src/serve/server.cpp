@@ -122,7 +122,12 @@ void Server::start() {
 
 void Server::stop() {
     if (!running_.load(std::memory_order_acquire)) return;
-    stopping_.store(true, std::memory_order_release);
+    {
+        // Set under queue_mutex_: a lane that has just evaluated the
+        // consume_loop predicate cannot sleep through this notify.
+        std::lock_guard<std::mutex> lk(queue_mutex_);
+        stopping_.store(true, std::memory_order_release);
+    }
     queue_cv_.notify_all();
     wake_io();
 }
@@ -299,60 +304,34 @@ void Server::handle(const WorkItem& item) {
 }
 
 json::Value Server::execute(const Request& req) {
+    // Sessionless handlers pin registry_.current() for the call; session
+    // handlers use the generation their session pinned at open. A
+    // concurrent generation flip never waits for either.
     switch (req.type) {
-    case MsgType::Hello:
-    case MsgType::Ping:
-    case MsgType::Query:
-    case MsgType::SessionOpen:
-    case MsgType::SessionClose:
-    case MsgType::SessionList:
-    case MsgType::Associate:
-    case MsgType::WhatIf:
-    case MsgType::Posture:
-    case MsgType::FlowAnalyze:
-    case MsgType::Metrics:
-    case MsgType::FleetAnalyze: {
-        // The lease is the hot-swap drain: while any request holds it,
-        // snapshot.swap's exclusive acquisition waits, so this request
-        // completes against the generation pinned here.
-        SessionRegistry::ReadLease lease(registry_);
-        switch (req.type) {
-        case MsgType::Hello: return ok_response(req.id, req.type, handle_hello(lease));
-        case MsgType::Ping: {
-            json::Value r;
-            r["echo"] = req.text;
-            return ok_response(req.id, req.type, std::move(r));
-        }
-        case MsgType::Query: return ok_response(req.id, req.type, handle_query(lease, req));
-        case MsgType::SessionOpen:
-            return ok_response(req.id, req.type, handle_session_open(req));
-        case MsgType::SessionClose: {
-            registry_.close(req.session);
-            json::Value r;
-            r["closed"] = req.session;
-            return ok_response(req.id, req.type, std::move(r));
-        }
-        case MsgType::SessionList: return ok_response(req.id, req.type, handle_session_list());
-        case MsgType::Associate: return ok_response(req.id, req.type, handle_associate(req));
-        case MsgType::WhatIf: return ok_response(req.id, req.type, handle_whatif(req));
-        case MsgType::Posture: return ok_response(req.id, req.type, handle_posture(req));
-        case MsgType::FlowAnalyze: return ok_response(req.id, req.type, handle_flow(req));
-        case MsgType::Metrics: return ok_response(req.id, req.type, handle_metrics(req));
-        case MsgType::FleetAnalyze:
-            return ok_response(req.id, req.type, handle_fleet(lease, req));
-        default: break; // unreachable; the outer switch filtered
-        }
-        break;
+    case MsgType::Hello: return ok_response(req.id, req.type, handle_hello());
+    case MsgType::Ping: {
+        json::Value r;
+        r["echo"] = req.text;
+        return ok_response(req.id, req.type, std::move(r));
     }
-    case MsgType::SnapshotSwap:
-        // No lease here: swap takes the gate exclusively and would
-        // deadlock against its own shared hold.
-        return ok_response(req.id, req.type, handle_swap(req));
-    case MsgType::DeltaApply:
-        // Likewise leaseless: the drain-gated flip is inside apply_delta.
-        return ok_response(req.id, req.type, handle_delta_apply(req));
-    case MsgType::Compact:
-        return ok_response(req.id, req.type, handle_compact(req));
+    case MsgType::Query: return ok_response(req.id, req.type, handle_query(req));
+    case MsgType::SessionOpen: return ok_response(req.id, req.type, handle_session_open(req));
+    case MsgType::SessionClose: {
+        registry_.close(req.session);
+        json::Value r;
+        r["closed"] = req.session;
+        return ok_response(req.id, req.type, std::move(r));
+    }
+    case MsgType::SessionList: return ok_response(req.id, req.type, handle_session_list());
+    case MsgType::Associate: return ok_response(req.id, req.type, handle_associate(req));
+    case MsgType::WhatIf: return ok_response(req.id, req.type, handle_whatif(req));
+    case MsgType::Posture: return ok_response(req.id, req.type, handle_posture(req));
+    case MsgType::FlowAnalyze: return ok_response(req.id, req.type, handle_flow(req));
+    case MsgType::Metrics: return ok_response(req.id, req.type, handle_metrics(req));
+    case MsgType::FleetAnalyze: return ok_response(req.id, req.type, handle_fleet(req));
+    case MsgType::SnapshotSwap: return ok_response(req.id, req.type, handle_swap(req));
+    case MsgType::DeltaApply: return ok_response(req.id, req.type, handle_delta_apply(req));
+    case MsgType::Compact: return ok_response(req.id, req.type, handle_compact(req));
     case MsgType::Shutdown: {
         json::Value r;
         r["stopping"] = true;
@@ -364,15 +343,15 @@ json::Value Server::execute(const Request& req) {
 
 // -- handlers ----------------------------------------------------------------
 
-json::Value Server::handle_hello(const SessionRegistry::ReadLease& lease) {
-    const Generation& gen = *lease.generation();
+json::Value Server::handle_hello() {
+    const std::shared_ptr<const Generation> gen = registry_.current();
     json::Value result;
     result["server"] = "cybok-serve";
     result["version"] = std::string(core::version());
     result["protocol"] = std::uint64_t{kProtocolVersion};
-    result["generation"] = gen.id;
-    result["source"] = gen.source;
-    const kb::Corpus& corpus = gen.engine->corpus();
+    result["generation"] = gen->id;
+    result["source"] = gen->source;
+    const kb::Corpus& corpus = gen->engine->corpus();
     json::Value shape;
     shape["patterns"] = corpus.patterns().size();
     shape["weaknesses"] = corpus.weaknesses().size();
@@ -383,8 +362,9 @@ json::Value Server::handle_hello(const SessionRegistry::ReadLease& lease) {
     return result;
 }
 
-json::Value Server::handle_query(const SessionRegistry::ReadLease& lease, const Request& req) {
-    const search::QueryEngine& engine = lease.generation()->engine->query();
+json::Value Server::handle_query(const Request& req) {
+    const std::shared_ptr<const Generation> gen = registry_.current();
+    const search::QueryEngine& engine = gen->engine->query();
     std::vector<search::VectorClass> classes;
     if (req.cls == "pattern")
         classes = {search::VectorClass::AttackPattern};
@@ -417,7 +397,7 @@ json::Value Server::handle_query(const SessionRegistry::ReadLease& lease, const 
     return result;
 }
 
-json::Value Server::handle_fleet(const SessionRegistry::ReadLease& lease, const Request& req) {
+json::Value Server::handle_fleet(const Request& req) {
     analysis::FleetOptions options;
     options.systems = req.systems;
     options.base_seed = req.seed;
@@ -439,8 +419,8 @@ json::Value Server::handle_fleet(const SessionRegistry::ReadLease& lease, const 
         if (comma == std::string_view::npos) break;
         csv.remove_prefix(comma + 1);
     }
-    const search::QueryEngine& engine = lease.generation()->engine->query();
-    return analysis::analyze_fleet(engine, options).to_json();
+    const std::shared_ptr<const Generation> gen = registry_.current();
+    return analysis::analyze_fleet(gen->engine->query(), options).to_json();
 }
 
 json::Value Server::handle_session_open(const Request& req) {

@@ -8,9 +8,9 @@
 //   sockets →│  IO thread │── request ──→│ worker lanes              │
 //            │ poll(2):   │   queue      │ (util::ThreadPool —       │
 //            │ accept,    │              │  each lane pops requests, │
-//            │ read,      │←─ responses ─│  executes under a         │
-//            │ frame      │   written    │  registry ReadLease,      │
-//            │ decode     │   directly   │  writes the response)     │
+//            │ read,      │←─ responses ─│  executes on a pinned     │
+//            │ frame      │   written    │  generation, writes the   │
+//            │ decode     │   directly   │  response)                │
 //            └────────────┘              └───────────────────────────┘
 //
 // One IO thread owns every socket read: it accepts connections, feeds
@@ -150,9 +150,9 @@ private:
     /// Execute one decoded request (worker lane). Returns the response.
     [[nodiscard]] json::Value execute(const Request& req);
 
-    json::Value handle_hello(const SessionRegistry::ReadLease& lease);
-    json::Value handle_query(const SessionRegistry::ReadLease& lease, const Request& req);
-    json::Value handle_fleet(const SessionRegistry::ReadLease& lease, const Request& req);
+    json::Value handle_hello();
+    json::Value handle_query(const Request& req);
+    json::Value handle_fleet(const Request& req);
     json::Value handle_session_open(const Request& req);
     json::Value handle_session_list();
     json::Value handle_associate(const Request& req);

@@ -1,5 +1,8 @@
 #include "util/bytes.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -44,19 +47,35 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, std::string_view bytes) {
     CYBOK_FAULT_POINT("util.bytes.write_file.open",
                       IoError("injected: cannot open file for writing: " + path));
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+    // Write a sibling temp file and rename it over `path`. A process that
+    // has the old file mapped keeps the old inode (truncating it in place
+    // would SIGBUS the mapping), and a failed write leaves the previous
+    // file intact. The pid + counter suffix keeps concurrent writers of
+    // one path, in this process or another, off each other's temp file.
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                            std::to_string(writes.fetch_add(1, std::memory_order_relaxed));
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) throw IoError("cannot open file for writing: " + path);
     if (fault_should_fire("util.bytes.write_file.write")) {
-        // Model a device-full partial write: close with only a prefix on
-        // disk, so downstream framing checks must reject the truncated file.
+        // Model a device-full partial write: only a prefix reaches the
+        // temp file, which is discarded like any other failed write.
         if (!bytes.empty()) (void)std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
         std::fclose(f);
+        (void)std::remove(tmp.c_str());
         throw IoError("injected: short write: " + path);
     }
     const std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
     const bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (wrote != bytes.size() || !flushed) throw IoError("short write: " + path);
+    const bool closed = std::fclose(f) == 0;
+    if (wrote != bytes.size() || !flushed || !closed) {
+        (void)std::remove(tmp.c_str());
+        throw IoError("short write: " + path);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        (void)std::remove(tmp.c_str());
+        throw IoError("cannot replace file: " + path);
+    }
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {

@@ -37,8 +37,11 @@ static_assert(std::endian::native == std::endian::little,
 /// twice and reallocates along the way. Throws IoError.
 [[nodiscard]] std::string read_file(const std::string& path);
 
-/// Write `bytes` to `path`, replacing any existing file. Throws IoError
-/// on open failure or short write.
+/// Write `bytes` to `path`, replacing any existing file atomically: the
+/// bytes go to a sibling temp file that is then renamed over `path`, so
+/// readers (and live mappings) see the old file or the new one, never a
+/// torn one. Throws IoError on open failure, short write or failed
+/// rename; the previous file is then left intact and no temp file remains.
 void write_file(const std::string& path, std::string_view bytes);
 
 /// FNV-1a 64-bit checksum (the snapshot integrity check: fast, simple,

@@ -209,7 +209,7 @@ const std::vector<FaultSiteInfo>& known_fault_sites() {
         {"util.bytes.write_file.open", "IoError",
          "session proceeds without a snapshot cache; next start is a cold build"},
         {"util.bytes.write_file.write", "IoError",
-         "truncated file left behind; framing checksum rejects it on the next load"},
+         "temp file discarded; the previous file at the path stays intact"},
         {"util.json.parse", "ParseError",
          "propagates to the caller; kb.serialize lenient mode is per-record, not per-document"},
         {"util.xml.parse", "ParseError", "propagates typed to the caller; no partial document"},

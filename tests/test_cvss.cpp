@@ -68,6 +68,12 @@ struct ScoreCase {
     double expected;
 };
 
+// Printed into the ctest name by gtest_discover_tests; the default printout
+// is the struct's bytes, including an ASLR-dependent pointer.
+void PrintTo(const ScoreCase& c, std::ostream* os) {
+    *os << c.vector;
+}
+
 class CvssBaseScore : public testing::TestWithParam<ScoreCase> {};
 
 TEST_P(CvssBaseScore, MatchesReference) {

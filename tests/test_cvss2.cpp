@@ -40,6 +40,12 @@ struct V2Case {
     double expected;
 };
 
+// Printed into the ctest name by gtest_discover_tests; the default printout
+// is the struct's bytes, including an ASLR-dependent pointer.
+void PrintTo(const V2Case& c, std::ostream* os) {
+    *os << c.vector;
+}
+
 class Cvss2Score : public testing::TestWithParam<V2Case> {};
 
 TEST_P(Cvss2Score, MatchesReference) {

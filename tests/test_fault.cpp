@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -69,6 +70,17 @@ std::string temp_path(const char* name) {
     std::string p = testing::TempDir() + name;
     std::remove(p.c_str());
     return p;
+}
+
+/// Temp files util::write_file left next to `path` (a failed write must
+/// leave none).
+std::size_t leftover_temp_files(const std::string& path) {
+    const std::filesystem::path target(path);
+    const std::string prefix = target.filename().string() + ".tmp.";
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(target.parent_path()))
+        if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+    return n;
 }
 
 /// The fault-free association baseline for (small_corpus, small_model).
@@ -251,27 +263,34 @@ TEST(FaultSites, WriteFileOpenThrowsTypedIoError) {
     EXPECT_THROW(util::write_file(path, "data"), IoError);
 }
 
-TEST(FaultSites, WriteFileShortWriteLeavesTruncatedFile) {
+TEST(FaultSites, WriteFileShortWriteKeepsPreviousFile) {
     const std::string path = temp_path("fault_write2.txt");
+    util::write_file(path, "previous");
     {
         util::FaultScope scope("util.bytes.write_file.write");
         EXPECT_THROW(util::write_file(path, "0123456789"), IoError);
     }
-    // The injected short write left a truncated prefix behind — exactly
-    // the on-disk state the snapshot framing must reject downstream.
-    EXPECT_LT(util::read_file(path).size(), 10u);
+    // The torn bytes went to a temp file that was discarded; the path
+    // still holds the previous file, whole.
+    EXPECT_EQ(util::read_file(path), "previous");
+    EXPECT_EQ(leftover_temp_files(path), 0u);
 }
 
-TEST(FaultSites, TruncatedSnapshotWriteIsRejectedOnNextLoad) {
+TEST(FaultSites, FailedSnapshotWriteKeepsPreviousSnapshot) {
     const std::string path = temp_path("fault_trunc.snap");
-    search::SearchEngine engine(small_corpus(), {});
+    const search::SearchEngine first(small_corpus(), {});
+    search::save_engine_snapshot(first, path);
+    const kb::Corpus other = synth::generate_corpus(synth::CorpusProfile::scaled(0.05, 43));
+    const search::SearchEngine second(other, {});
     {
         util::FaultScope scope("util.bytes.write_file.write");
-        EXPECT_THROW(search::save_engine_snapshot(engine, path), IoError);
+        EXPECT_THROW(search::save_engine_snapshot(second, path), IoError);
     }
-    // Degradation contract: the checksum/size framing catches the torn
-    // write; a session would fall back to a fresh build.
-    EXPECT_THROW((void)search::load_engine_snapshot(path), kb::SnapshotError);
+    // Degradation contract: the failed write never reached the path, so
+    // the first snapshot still loads, byte for byte.
+    const search::EngineSnapshot loaded = search::load_engine_snapshot(path);
+    EXPECT_EQ(search::freeze_engine(*loaded.engine), search::freeze_engine(first));
+    EXPECT_EQ(leftover_temp_files(path), 0u);
 }
 
 // ----------------------------------------------------------- parse sites

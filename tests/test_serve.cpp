@@ -1,15 +1,20 @@
 // Serve-layer tests: the session registry's copy-on-write overlays,
-// admission control, and hot swap; the server end to end over real
-// sockets (typed errors on the wire, pipelining, graceful shutdown); the
-// hot-swap-under-load drain guarantee (zero lost in-flight requests); and
-// every serve.* fault site forced to fire its documented degradation.
+// admission control, and hot swap (a flip never waits for a pinned
+// generation); the server end to end over real sockets (typed errors on
+// the wire, pipelining, graceful shutdown); hot swap under load (zero
+// lost in-flight requests); and every serve.* fault site forced to fire
+// its documented degradation.
 // The Serve* suite names put the concurrency tests in the CI tsan net.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <latch>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -57,6 +62,29 @@ std::string write_snapshot(const std::string& name) {
     const std::string path = (std::filesystem::temp_directory_path() / name).string();
     search::save_engine_snapshot(*serve_engine()->engine, path);
     return path;
+}
+
+/// Freeze a one-record feed tick to a temp path and return it: a probe
+/// weakness whose vocabulary no base query hits.
+std::string write_probe_delta(const std::string& name) {
+    kb::CorpusDelta delta;
+    kb::Weakness probe;
+    probe.id = kb::WeaknessId{900001};
+    probe.name = "Unverified glimmerwick frame origin";
+    probe.description =
+        "Relay accepts glimmerwick maintenance frames without verifying origin.";
+    delta.weaknesses.push_back(std::move(probe));
+    const std::string path = (std::filesystem::temp_directory_path() / name).string();
+    util::write_file(path, kb::freeze_corpus_delta(delta));
+    return path;
+}
+
+/// Every hit's id and exact score: equal strings mean identical answers.
+std::string hits_fingerprint(const std::vector<search::Match>& hits) {
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (const search::Match& m : hits) out << m.id << ' ' << m.score << '\n';
+    return out.str();
 }
 
 struct ServerFixture {
@@ -212,6 +240,60 @@ TEST(ServeRegistry, FailedSwapKeepsTheOldGenerationServing) {
     EXPECT_NO_THROW((void)registry->open(""));
 }
 
+TEST(ServeRegistry, FlipDoesNotWaitForPinnedGeneration) {
+    auto registry = make_registry();
+    const std::string delta = write_probe_delta("serve_flip_pinned.delta");
+    const std::string snapshot = write_snapshot("serve_flip_pinned.snap");
+    // Pin a generation that only the pin keeps alive once the flips have
+    // replaced it, rather than the shared test engine.
+    ASSERT_EQ(registry->swap(snapshot), 2u);
+    const auto answer = [](const Generation& gen) {
+        return hits_fingerprint(gen.engine->query().query_text(
+            "control network overflow", search::VectorClass::Weakness));
+    };
+
+    // A request in the middle of a query: it holds the live generation and
+    // blocks on a latch until the flips are done.
+    std::latch pinned(1);
+    std::latch release(1);
+    std::string before;
+    std::string after;
+    std::thread request([&] {
+        const std::shared_ptr<const Generation> gen = registry->current();
+        before = answer(*gen);
+        pinned.count_down();
+        release.wait();
+        after = answer(*gen);
+    });
+    pinned.wait();
+
+    // Each flip must return while the pin is held. Should one wait for the
+    // pin, the pin is released, so the test fails instead of hanging.
+    bool released = false;
+    const auto returns_while_pinned = [&](const std::function<std::uint64_t()>& flip) {
+        std::future<std::uint64_t> done = std::async(std::launch::async, flip);
+        if (done.wait_for(std::chrono::seconds(10)) == std::future_status::ready) return true;
+        if (!released) {
+            released = true;
+            release.count_down();
+        }
+        done.wait();
+        return false;
+    };
+    EXPECT_TRUE(returns_while_pinned([&] { return registry->apply_delta(delta); }));
+    EXPECT_TRUE(returns_while_pinned([&] { return registry->compact(); }));
+    EXPECT_TRUE(returns_while_pinned([&] { return registry->swap(snapshot); }));
+    EXPECT_EQ(registry->current()->id, 5u);
+
+    if (!released) release.count_down();
+    request.join();
+    // The pinned generation answered the same before and after the flips.
+    EXPECT_FALSE(before.empty());
+    EXPECT_EQ(after, before);
+    std::filesystem::remove(delta);
+    std::filesystem::remove(snapshot);
+}
+
 TEST(ServeRegistry, AggregateMetricsCountsColdStartOncePerGeneration) {
     auto registry = make_registry();
     const std::string first = registry->open("");
@@ -272,10 +354,10 @@ TEST(ServeConcurrency, SwapUnderLoadLosesNoRequests) {
             while (!stop.load(std::memory_order_acquire)) {
                 try {
                     // Pin a generation exactly as a server lane would, and
-                    // run a query against it; the lease must always
-                    // observe a fully formed generation.
-                    SessionRegistry::ReadLease lease(*registry);
-                    const auto hits = lease.generation()->engine->engine->query_text(
+                    // run a query against it; the pin must always observe
+                    // a fully formed generation.
+                    const std::shared_ptr<const Generation> gen = registry->current();
+                    const auto hits = gen->engine->engine->query_text(
                         "control network overflow", search::VectorClass::Weakness);
                     (void)hits;
                     ++completed;
@@ -369,16 +451,7 @@ TEST(ServeServer, DeltaApplyMakesRecordsVisibleAndCompactKeepsThem) {
     BlockingClient client = fixture.connect();
 
     // One feed tick: a probe record whose vocabulary no base query hits.
-    kb::CorpusDelta delta;
-    kb::Weakness probe;
-    probe.id = kb::WeaknessId{900001};
-    probe.name = "Unverified glimmerwick frame origin";
-    probe.description =
-        "Relay accepts glimmerwick maintenance frames without verifying origin.";
-    delta.weaknesses.push_back(std::move(probe));
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "serve_tick.delta").string();
-    util::write_file(path, kb::freeze_corpus_delta(delta));
+    const std::string path = write_probe_delta("serve_tick.delta");
 
     Request query = make_request(MsgType::Query);
     query.text = "glimmerwick maintenance frames";
@@ -497,6 +570,25 @@ TEST(ServeServer, ZeroCapacityQueueShedsLoadWithTypedRejection) {
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.error_code, "overloaded");
     EXPECT_GE(fixture.server->stats().overload_rejections.load(), 1u);
+}
+
+TEST(ServeServer, StopRightAfterStartAlwaysJoins) {
+    // stop() races the lanes entering consume_loop: a lane that has just
+    // found the queue empty must still see the stop, or wait() never joins.
+    ServerOptions options;
+    options.lanes = 2;
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        Server server(serve_engine(), synth::centrifuge_model(), options);
+        server.start();
+        server.stop();
+        std::future<void> joined = std::async(std::launch::async, [&server] { server.wait(); });
+        if (joined.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+            ADD_FAILURE() << "wait() did not join after stop() in cycle " << cycle;
+            server.stop(); // a second notify wakes the lane that slept through the first
+            joined.wait();
+            break;
+        }
+    }
 }
 
 TEST(ServeServer, GracefulShutdownAcknowledgesThenStops) {

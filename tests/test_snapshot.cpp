@@ -427,6 +427,36 @@ TEST(SnapshotMmap, SessionsShareOneMappingAndHotSwapKeepsItAlive) {
     EXPECT_GT(b.associations().total(), 0u);
 }
 
+TEST(SnapshotMmap, RewritingTheMappedPathLeavesTheMappingIntact) {
+    // A server maps its snapshot; then another run over a corpus of another
+    // shape finds the file stale and rewrites it. The rewrite must not
+    // reach the live mapping: truncating the mapped file in place would
+    // make the next query die of SIGBUS.
+    const std::string path = temp_path("mmap_rewrite.bin");
+    core::SessionOptions opts;
+    opts.snapshot_path = path;
+    (void)core::make_shared_engine(shared_corpus(), opts); // cold build writes the file
+    const std::shared_ptr<const core::SharedEngine> mapped =
+        core::make_shared_engine(shared_corpus(), opts);
+    ASSERT_NE(mapped->mapping, nullptr);
+    const std::size_t mapped_size = util::read_file(path).size();
+
+    const kb::Corpus other = synth::generate_corpus(synth::CorpusProfile::scaled(0.05, 3));
+    const std::shared_ptr<const core::SharedEngine> rewriter =
+        core::make_shared_engine(other, opts);
+    EXPECT_EQ(rewriter->cold_start.snapshot_fallbacks, 1u); // stale: rebuilt and rewrote
+    const std::string rewritten = util::read_file(path);
+    ASSERT_EQ(rewritten, search::freeze_engine(*rewriter->engine));
+    EXPECT_LT(rewritten.size(), mapped_size);
+
+    const search::SearchEngine fresh(shared_corpus());
+    model::SystemModel scada = synth::centrifuge_model();
+    EXPECT_EQ(fingerprint(search::associate(scada, *mapped->engine)),
+              fingerprint(search::associate(scada, fresh)));
+
+    std::remove(path.c_str());
+}
+
 TEST(SnapshotMmap, MappedAndOwningThawsAgreeExactly) {
     const std::string path = temp_path("mmap_vs_owning.bin");
     search::SearchEngine fresh(shared_corpus());

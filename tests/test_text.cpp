@@ -48,6 +48,13 @@ struct StemCase {
     const char* expected;
 };
 
+// gtest prints an unknown struct as its raw bytes — here two pointers that
+// ASLR moves on every run — and gtest_discover_tests builds the ctest name
+// from that printout. Printing the input keeps the names stable.
+void PrintTo(const StemCase& c, std::ostream* os) {
+    *os << c.input;
+}
+
 class PorterStem : public testing::TestWithParam<StemCase> {};
 
 TEST_P(PorterStem, MatchesReference) {
