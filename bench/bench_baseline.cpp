@@ -11,6 +11,7 @@
 #include "baseline/comparison.hpp"
 #include "bench_common.hpp"
 #include "dashboard/table.hpp"
+#include "dashboard/vector_graph.hpp"
 
 using namespace cybok;
 using namespace cybok::baseline;

@@ -33,16 +33,6 @@ void BM_CvssBaseScore(benchmark::State& state) {
 }
 BENCHMARK(BM_CvssBaseScore);
 
-void BM_CvssEnvironmentalScore(benchmark::State& state) {
-    auto v = cvss::parse(
-        "CVSS:3.1/AV:N/AC:L/PR:L/UI:R/S:C/C:H/I:L/A:N/CR:H/IR:M/AR:L/MAV:A/MS:U/MC:H");
-    for (auto _ : state) {
-        double s = cvss::environmental_score(v);
-        benchmark::DoNotOptimize(s);
-    }
-}
-BENCHMARK(BM_CvssEnvironmentalScore);
-
 void BM_CvssScoreAllCorpusVectors(benchmark::State& state) {
     // The severity filter's worst case: parse+score every CVE of one OS.
     const kb::Corpus& corpus = cybok::bench::demo_corpus();

@@ -8,6 +8,7 @@
 #include "analysis/fidelity.hpp"
 #include "bench_common.hpp"
 #include "dashboard/table.hpp"
+#include "search/filters.hpp"
 
 using namespace cybok;
 using cybok::bench::demo_engine;

@@ -20,10 +20,10 @@ void print_pipeline() {
     core::AnalysisSession session(synth::centrifuge_model(), demo_corpus());
     session.set_hazards(synth::centrifuge_hazards());
 
-    std::string graphml = session.architecture_graphml();
+    const graph::PropertyGraph architecture = model::to_graph(session.model());
+    std::string graphml = graph::to_graphml(architecture, session.model().name());
     std::printf("  capability 1 (export):    %zu nodes, %zu edges, %zu bytes GraphML\n",
-                session.architecture().node_count(), session.architecture().edge_count(),
-                graphml.size());
+                architecture.node_count(), architecture.edge_count(), graphml.size());
     std::printf("  capability 2 (associate): %zu attack vectors (%zu AP, %zu W, %zu V)\n",
                 session.associations().total(),
                 session.associations().total(search::VectorClass::AttackPattern),

@@ -9,6 +9,8 @@
 #include <iostream>
 
 #include "core/session.hpp"
+#include "graph/graphml.hpp"
+#include "model/export.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -22,9 +24,11 @@ int main(int argc, char** argv) {
     session.set_hazards(hazards);
 
     // Capability 1: the general architectural model.
-    std::cout << "Architecture: " << session.architecture().node_count() << " nodes, "
-              << session.architecture().edge_count() << " edges (GraphML "
-              << session.architecture_graphml().size() << " bytes)\n\n";
+    const graph::PropertyGraph architecture = model::to_graph(session.model());
+    std::cout << "Architecture: " << architecture.node_count() << " nodes, "
+              << architecture.edge_count() << " edges (GraphML "
+              << graph::to_graphml(architecture, session.model().name()).size()
+              << " bytes)\n\n";
 
     // Capability 2 + 3: associations rendered as the paper's Table 1.
     std::cout << "Table 1: attack vectors per SCADA model attribute\n";
@@ -50,17 +54,6 @@ int main(int argc, char** argv) {
     for (const safety::ConsequenceTrace& t :
          analyzer.externally_reachable(session.associations()))
         std::cout << "  " << safety::to_string(t) << '\n';
-    std::cout << '\n';
-
-    // Mission impact: which missions the attack surface threatens.
-    session.set_missions(analysis::centrifuge_missions());
-    std::cout << "Mission impact:\n";
-    for (const analysis::MissionImpact& impact : session.mission_impacts()) {
-        std::cout << "  " << impact.mission_id << " \"" << impact.mission_text << "\": "
-                  << (impact.threatened() ? "THREATENED via" : "not threatened");
-        for (const std::string& c : impact.threatened_via) std::cout << ' ' << c << ';';
-        std::cout << '\n';
-    }
     std::cout << '\n';
 
     // Full report + bundle.

@@ -14,15 +14,20 @@
 //   cybok report    --corpus corpus.json --model sys.sysm --out-dir DIR [--hazards demo]
 //   cybok table1
 //
-// Exit code 0 on success, 1 on usage errors, 2 on runtime failures, 3 when
-// lint finds error-severity diagnostics.
+// Exit code 0 on success, 1 on usage errors (including a numeric option
+// that does not parse whole or does not fit its type), 2 on runtime
+// failures, 3 when lint finds error-severity diagnostics.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "analysis/fleet.hpp"
 #include "core/session.hpp"
@@ -44,6 +49,31 @@
 using namespace cybok;
 
 namespace {
+
+/// A malformed command line: exit code 1, not a runtime failure.
+class UsageError : public Error {
+public:
+    using Error::Error;
+};
+
+/// The whole of `text` as a T. Rejects anything else — trailing text, a
+/// sign on an unsigned count, a value T cannot hold — so that "-1" never
+/// wraps to a huge thread count and 70000 never truncates to a port.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && ec == std::errc{} && stop == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (ok) return value;
+    if constexpr (std::is_floating_point_v<T>)
+        throw UsageError("--" + key + " expects a finite number, got '" + text + "'");
+    else
+        throw UsageError("--" + key + " expects an integer in [0, " +
+                         std::to_string(std::numeric_limits<T>::max()) + "], got '" + text +
+                         "'");
+}
 
 /// --key value argument bag.
 class Args {
@@ -73,6 +103,12 @@ public:
         if (it == values_.end()) throw Error("missing required option --" + key);
         return it->second;
     }
+    /// Numeric option `key` (see parse_number), or `fallback` when absent.
+    template <typename T>
+    [[nodiscard]] T number(const std::string& key, T fallback) const {
+        auto it = values_.find(key);
+        return it == values_.end() ? fallback : parse_number<T>(key, it->second);
+    }
 
 private:
     std::map<std::string, std::string> values_;
@@ -86,8 +122,8 @@ model::SystemModel demo_model(const std::string& name) {
 }
 
 int cmd_generate(const Args& args) {
-    double scale = std::stod(args.get("scale", "1.0"));
-    std::uint64_t seed = std::stoull(args.get("seed", "20200629"));
+    const double scale = args.number<double>("scale", 1.0);
+    const std::uint64_t seed = args.number<std::uint64_t>("seed", 20200629);
     synth::CorpusProfile profile = scale == 1.0 ? synth::CorpusProfile::scada_demo()
                                                 : synth::CorpusProfile::scaled(scale, seed);
     profile.seed = seed;
@@ -107,13 +143,13 @@ int cmd_model(const Args& args) {
             throw Error("unknown --zoo domain: " + zoo + " (try uav|automotive|grid|water)");
         synth::ZooConfig config;
         config.domain = *domain;
-        config.components = std::stoul(args.get("components", "50"));
-        config.seed = std::stoull(args.get("seed", "11"));
+        config.components = args.number<std::size_t>("components", 50);
+        config.seed = args.number<std::uint64_t>("seed", 11);
         m = synth::generate_zoo_system(config).model;
     } else if (std::string synth = args.get("synth"); !synth.empty()) {
         synth::ModelGenConfig config;
-        config.components = std::stoul(synth);
-        config.seed = std::stoull(args.get("seed", "11"));
+        config.components = parse_number<std::size_t>("synth", synth);
+        config.seed = args.number<std::uint64_t>("seed", 11);
         m = synth::generate_model(config);
     } else {
         m = demo_model(args.get("demo", "centrifuge"));
@@ -125,6 +161,7 @@ int cmd_model(const Args& args) {
 }
 
 int cmd_search(const Args& args) {
+    const std::size_t limit = args.number<std::size_t>("limit", 10);
     kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
     search::SearchEngine engine(corpus);
     std::string cls_name = args.get("class", "");
@@ -137,7 +174,6 @@ int cmd_search(const Args& args) {
     else if (cls_name == "vulnerability") classes = {search::VectorClass::Vulnerability};
     else throw Error("unknown --class: " + cls_name);
 
-    std::size_t limit = std::stoul(args.get("limit", "10"));
     for (search::VectorClass cls : classes) {
         auto hits = engine.query_text(args.require("query"), cls);
         std::printf("%s: %zu hits\n", std::string(vector_class_name(cls)).c_str(),
@@ -164,6 +200,8 @@ int cmd_associate(const Args& args) {
 }
 
 int cmd_lint(const Args& args) {
+    lint::LintOptions options;
+    options.threads = args.number<std::size_t>("threads", 0);
     kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
     model::SystemModel m = model::load_dsl(args.require("model"));
     std::optional<safety::HazardModel> hazards;
@@ -171,8 +209,6 @@ int cmd_lint(const Args& args) {
         hazards = m.name().rfind("uav", 0) == 0 ? synth::uav_hazards()
                                                 : synth::centrifuge_hazards();
 
-    lint::LintOptions options;
-    options.threads = std::stoul(args.get("threads", "0"));
     const std::string disable = args.get("disable");
     for (std::string_view code : strings::split(disable, ',')) {
         code = strings::trim(code);
@@ -282,22 +318,12 @@ int cmd_report(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-    // Same engine bootstrap as `serve`: files when given, the SCADA demo
-    // corpus otherwise, with the snapshot cold-start cache available.
-    kb::Corpus corpus = args.get("corpus").empty()
-                            ? synth::generate_corpus(synth::CorpusProfile::scada_demo())
-                            : kb::load_corpus(args.require("corpus"));
-    core::SessionOptions engine_opts;
-    engine_opts.snapshot_path = args.get("snapshot");
-    std::shared_ptr<const core::SharedEngine> engine =
-        core::make_shared_engine(corpus, engine_opts);
-
     analysis::FleetOptions options;
-    options.systems = std::stoul(args.get("systems", "16"));
-    options.base_seed = std::stoull(args.get("seed", "11"));
-    options.components = std::stoul(args.get("components", "50"));
-    options.threads = std::stoul(args.get("threads", "0"));
-    options.top_paths = std::stoul(args.get("top", "3"));
+    options.systems = args.number<std::size_t>("systems", 16);
+    options.base_seed = args.number<std::uint64_t>("seed", 11);
+    options.components = args.number<std::size_t>("components", 50);
+    options.threads = args.number<std::size_t>("threads", 0);
+    options.top_paths = args.number<std::size_t>("top", 3);
     for (std::string_view name : strings::split(args.get("domains"), ',')) {
         name = strings::trim(name);
         if (name.empty()) continue;
@@ -307,6 +333,16 @@ int cmd_fleet(const Args& args) {
                         " (try uav|automotive|grid|water)");
         options.domains.push_back(*d);
     }
+
+    // Same engine bootstrap as `serve`: files when given, the SCADA demo
+    // corpus otherwise, with the snapshot cold-start cache available.
+    kb::Corpus corpus = args.get("corpus").empty()
+                            ? synth::generate_corpus(synth::CorpusProfile::scada_demo())
+                            : kb::load_corpus(args.require("corpus"));
+    core::SessionOptions engine_opts;
+    engine_opts.snapshot_path = args.get("snapshot");
+    std::shared_ptr<const core::SharedEngine> engine =
+        core::make_shared_engine(corpus, engine_opts);
 
     const analysis::FleetResult result = analysis::analyze_fleet(engine->query(), options);
     if (args.get("fingerprint", "absent") != "absent") {
@@ -325,6 +361,13 @@ int cmd_fleet(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
+    serve::ServerOptions options;
+    options.bind = args.get("bind", "127.0.0.1");
+    options.port = args.number<std::uint16_t>("port", 0);
+    options.lanes = args.number<std::size_t>("lanes", 0);
+    options.queue_capacity = args.number<std::size_t>("queue", 256);
+    options.registry.max_sessions = args.number<std::size_t>("max-sessions", 4096);
+
     // Corpus + base model: from files when given, the paper's SCADA demo
     // otherwise — so `cybok serve` with no options is a working server.
     kb::Corpus corpus = args.get("corpus").empty()
@@ -339,13 +382,6 @@ int cmd_serve(const Args& args) {
     // session the server opens shares this one engine.
     std::shared_ptr<const core::SharedEngine> engine =
         core::make_shared_engine(corpus, engine_opts);
-
-    serve::ServerOptions options;
-    options.bind = args.get("bind", "127.0.0.1");
-    options.port = static_cast<std::uint16_t>(std::stoul(args.get("port", "0")));
-    options.lanes = std::stoul(args.get("lanes", "0"));
-    options.queue_capacity = std::stoul(args.get("queue", "256"));
-    options.registry.max_sessions = std::stoul(args.get("max-sessions", "4096"));
 
     serve::Server server(engine, std::move(base), options);
     server.start();
@@ -381,19 +417,19 @@ int cmd_client(const Args& args) {
     req.session = args.get("session");
     req.text = args.get("text", args.get("query"));
     req.cls = args.get("class");
-    req.limit = std::stoul(args.get("limit", "10"));
+    req.limit = args.number<std::size_t>("limit", 10);
     if (const std::string path = args.get("model"); !path.empty())
         req.model_dsl = util::read_file(path);
     req.commit = args.get("commit", "absent") != "absent";
     req.snapshot = args.get("snapshot");
     req.delta = args.get("delta");
-    req.systems = std::stoul(args.get("systems", "8"));
+    req.systems = args.number<std::size_t>("systems", 8);
     req.domains = args.get("domains");
-    req.seed = std::stoull(args.get("seed", "11"));
-    req.components = std::stoul(args.get("components", "40"));
+    req.seed = args.number<std::uint64_t>("seed", 11);
+    req.components = args.number<std::size_t>("components", 40);
 
     serve::BlockingClient client(args.get("host", "127.0.0.1"),
-                                 static_cast<std::uint16_t>(std::stoul(args.require("port"))));
+                                 parse_number<std::uint16_t>("port", args.require("port")));
     const serve::Response resp = client.call(req);
     json::Value out;
     out["id"] = resp.id;
@@ -499,6 +535,9 @@ int main(int argc, char** argv) {
                              static_cast<unsigned long long>(s.fires));
         }
         return rc;
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "cybok %s: usage error: %s\n", command.c_str(), e.what());
+        return 1;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "cybok %s: error: %s\n", command.c_str(), e.what());
         return 2;

@@ -1,15 +1,17 @@
 // Re-evaluating a deployed system when new advisories land — the paper's
 // second application of model-based security analysis: the plant is built
 // and unchangeable on short notice, but the attack-vector corpus moves
-// every week. The stored baseline association is diffed against a fresh
-// corpus snapshot (here: the baseline corpus plus a small NVD advisory
-// feed) to surface exactly the new exposure.
+// every week. This week's NVD advisories arrive as a corpus delta; the
+// session adopts the next engine generation and associates once more, and
+// the matches the stored baseline lacks are exactly the new exposure.
 //
 //   $ ./deployed_reevaluation
 
 #include <iostream>
+#include <map>
+#include <set>
 
-#include "analysis/monitoring.hpp"
+#include "core/session.hpp"
 #include "kb/import_nvd.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
@@ -62,36 +64,48 @@ constexpr const char* kFreshAdvisories = R"({
 } // namespace
 
 int main() {
-    // Commissioning time: baseline corpus and stored association.
-    kb::Corpus baseline_corpus = synth::generate_corpus(synth::CorpusProfile::scada_demo());
-    model::SystemModel deployed = synth::centrifuge_model();
-    search::SearchEngine baseline_engine(baseline_corpus);
-    search::AssociationMap baseline = search::associate(deployed, baseline_engine);
+    // Commissioning time: baseline corpus, engine generation, and the
+    // stored association of the deployed model.
+    const kb::Corpus corpus = synth::generate_corpus(synth::CorpusProfile::scada_demo());
+    const std::shared_ptr<const core::SharedEngine> commissioned =
+        core::make_shared_engine(corpus, core::SessionOptions{});
+    core::AnalysisSession session(synth::centrifuge_model(), commissioned);
+    const search::AssociationMap baseline = session.associations();
     std::cout << "Baseline (commissioning): " << baseline.total() << " associated vectors\n";
 
-    // One year later: same records plus this week's advisories.
-    kb::Corpus fresh_corpus = synth::generate_corpus(synth::CorpusProfile::scada_demo());
+    // One year later: this week's advisories, applied as a corpus delta.
+    kb::CorpusDelta delta;
     kb::NvdImportStats stats;
-    for (kb::Vulnerability& v : kb::import_nvd_feed_text(kFreshAdvisories, &stats))
-        fresh_corpus.add(std::move(v));
-    fresh_corpus.reindex();
+    delta.vulnerabilities = kb::import_nvd_feed_text(kFreshAdvisories, &stats);
     std::cout << "Imported " << stats.imported << " fresh advisories\n\n";
+    session.adopt_engine(core::apply_corpus_delta(commissioned, delta));
 
-    search::SearchEngine fresh_engine(fresh_corpus);
-    analysis::ReevaluationResult result =
-        analysis::reevaluate(deployed, baseline, baseline_corpus, fresh_engine);
+    std::cout << "Corpus delta: " << delta.vulnerabilities.size() << " new vulnerabilities";
+    for (const kb::Vulnerability& v : delta.vulnerabilities) std::cout << ' ' << v.id.to_string();
 
-    std::cout << "Corpus delta: " << result.delta.new_vulnerabilities.size()
-              << " new vulnerabilities";
-    for (const std::string& id : result.delta.new_vulnerabilities) std::cout << ' ' << id;
+    // The model is frozen, so the new exposure is every match of the fresh
+    // association that the baseline lacks, identified by record id.
+    std::map<std::pair<std::string, std::string>, std::set<std::string>> known;
+    for (const search::ComponentAssociation& ca : baseline.components)
+        for (const search::AttributeAssociation& aa : ca.attributes)
+            for (const search::Match& m : aa.matches)
+                known[{ca.component, aa.attribute_name}].insert(m.id);
+    std::set<std::string> affected;
     std::cout << "\n\nNew exposure on the deployed system:\n";
-    for (const analysis::NewExposure& e : result.new_exposures)
-        std::cout << "  " << e.component << " [" << e.attribute << "] <- " << e.match.id
-                  << " (severity "
-                  << (e.match.severity >= 0 ? std::to_string(e.match.severity) : "n/a")
-                  << ")\n";
+    for (const search::ComponentAssociation& ca : session.associations().components) {
+        for (const search::AttributeAssociation& aa : ca.attributes) {
+            const std::set<std::string>& seen = known[{ca.component, aa.attribute_name}];
+            for (const search::Match& m : aa.matches) {
+                if (seen.contains(m.id)) continue;
+                affected.insert(ca.component);
+                std::cout << "  " << ca.component << " [" << aa.attribute_name << "] <- " << m.id
+                          << " (severity "
+                          << (m.severity >= 0 ? std::to_string(m.severity) : "n/a") << ")\n";
+            }
+        }
+    }
     std::cout << "\nAffected components:";
-    for (const std::string& c : result.affected_components()) std::cout << ' ' << c << ';';
+    for (const std::string& c : affected) std::cout << ' ' << c << ';';
     std::cout << "\nNote: the advisory for the unrelated product correctly matched nothing.\n";
     return 0;
 }

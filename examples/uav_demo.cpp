@@ -1,8 +1,9 @@
 // Second domain scenario: a small UAV control system. Exercises the
 // safety layer end-to-end — control-structure extraction, attack-vector
-// association, and consequence traces from the radio entry point to
-// airframe-level hazards (GPS spoofing into the estimator, waypoint
-// manipulation out of the approved volume).
+// association (narrowed by a filter chain to the strongest findings), and
+// consequence traces from the radio entry point to airframe-level hazards
+// (GPS spoofing into the estimator, waypoint manipulation out of the
+// approved volume).
 //
 //   $ ./uav_demo
 
@@ -20,11 +21,7 @@ int main() {
     kb::Corpus corpus = synth::generate_corpus(synth::CorpusProfile::scada_demo());
     safety::HazardModel hazards = synth::uav_hazards();
 
-    // Analysts drown without filters; keep the strongest findings only.
-    core::SessionOptions options;
-    options.filters.add(search::min_severity(cvss::Severity::High)).top_k_per_class(25);
-
-    core::AnalysisSession session(synth::uav_model(), corpus, std::move(options));
+    core::AnalysisSession session(synth::uav_model(), corpus);
     session.set_hazards(hazards);
 
     std::cout << "Control structure:\n";
@@ -36,6 +33,15 @@ int main() {
         std::cout << "  feedback: " << f.source << " --[" << f.via << "]--> " << f.controller
                   << '\n';
     std::cout << '\n';
+
+    // Analysts drown without filters; keep the strongest findings only.
+    search::FilterChain chain;
+    chain.add(search::min_severity(cvss::Severity::High)).top_k_per_class(25);
+    search::FilterChain::Report funnel;
+    const search::AssociationMap strongest = chain.apply(session.associations(), &funnel);
+    std::cout << "Strongest findings (severity >= High, top 25 per class and attribute): "
+              << funnel.output << " of " << funnel.input << " attack vectors\n";
+    std::cout << dashboard::attribute_summary_table(strongest).render() << '\n';
 
     std::cout << dashboard::render_text(session.report());
 

@@ -3,8 +3,7 @@
 namespace cybok::analysis {
 
 std::vector<FidelityPoint> fidelity_sweep(const model::SystemModel& m,
-                                          const search::QueryEngine& engine,
-                                          const search::FilterChain* chain) {
+                                          const search::QueryEngine& engine) {
     std::vector<FidelityPoint> out;
     const model::Fidelity max = m.max_fidelity();
     for (int level = 0; level <= static_cast<int>(max); ++level) {
@@ -18,7 +17,7 @@ std::vector<FidelityPoint> fidelity_sweep(const model::SystemModel& m,
             point.attributes += c.attributes.size();
         }
 
-        search::AssociationMap assoc = search::associate(projected, engine, chain);
+        search::AssociationMap assoc = search::associate(projected, engine);
         point.attack_patterns = assoc.total(search::VectorClass::AttackPattern);
         point.weaknesses = assoc.total(search::VectorClass::Weakness);
         point.vulnerabilities = assoc.total(search::VectorClass::Vulnerability);

@@ -33,8 +33,6 @@ struct FidelityPoint {
 /// Associate the model at every fidelity level from Conceptual to its own
 /// maximum and measure each result space.
 [[nodiscard]] std::vector<FidelityPoint> fidelity_sweep(const model::SystemModel& m,
-                                                        const search::QueryEngine& engine,
-                                                        const search::FilterChain* chain =
-                                                            nullptr);
+                                                        const search::QueryEngine& engine);
 
 } // namespace cybok::analysis

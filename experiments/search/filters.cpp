@@ -84,6 +84,21 @@ std::vector<Match> FilterChain::apply(std::vector<Match> matches, Report* report
     return matches;
 }
 
+AssociationMap FilterChain::apply(AssociationMap map, Report* report) const {
+    Report total;
+    for (ComponentAssociation& ca : map.components) {
+        for (AttributeAssociation& aa : ca.attributes) {
+            Report one;
+            aa.matches = apply(std::move(aa.matches), &one);
+            total.input += one.input;
+            total.output += one.output;
+            for (const auto& [stage, dropped] : one.dropped_by) total.dropped_by[stage] += dropped;
+        }
+    }
+    if (report != nullptr) *report = std::move(total);
+    return map;
+}
+
 std::vector<Match> abstract_vulnerabilities(const std::vector<Match>& matches,
                                             const kb::Corpus& corpus) {
     std::vector<Match> out;

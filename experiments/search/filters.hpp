@@ -4,8 +4,9 @@
 // process is large … Filtering functionality is implemented to manage
 // these attack vectors." Filters are composable named predicates plus two
 // structural reductions (top-k, vulnerability abstraction); the chain
-// records how many matches each stage dropped so the dashboard can show
-// the funnel.
+// records how many matches each stage dropped so callers can show the
+// funnel. Callers apply a chain to an association's match lists
+// (bench_filtering, examples/uav_demo.cpp); no CLI or serve path does.
 
 #pragma once
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "search/association.hpp"
 #include "search/engine.hpp"
 
 namespace cybok::search {
@@ -59,6 +61,9 @@ public:
     /// `report` if non-null.
     [[nodiscard]] std::vector<Match> apply(std::vector<Match> matches,
                                            Report* report = nullptr) const;
+    /// Apply to every attribute's match list of an association map; the
+    /// report sums over all attributes.
+    [[nodiscard]] AssociationMap apply(AssociationMap map, Report* report = nullptr) const;
 
     [[nodiscard]] std::size_t stage_count() const noexcept { return filters_.size(); }
 

@@ -4,12 +4,10 @@ namespace cybok::analysis {
 
 WhatIfResult what_if(const model::SystemModel& before,
                      const search::AssociationMap& before_associations,
-                     const model::SystemModel& after, const search::QueryEngine& engine,
-                     const search::FilterChain* chain) {
+                     const model::SystemModel& after, const search::QueryEngine& engine) {
     WhatIfResult out;
     out.diff = model::diff(before, after);
-    out.after_associations =
-        search::reassociate(before_associations, out.diff, after, engine, chain);
+    out.after_associations = search::reassociate(before_associations, out.diff, after, engine);
     out.after_posture = compute_posture(after, out.after_associations);
     out.comparison = compare(compute_posture(before, before_associations), out.after_posture);
     return out;
@@ -17,12 +15,10 @@ WhatIfResult what_if(const model::SystemModel& before,
 
 WhatIfResult what_if(const model::SystemModel& before,
                      const search::AssociationMap& before_associations,
-                     const model::SystemModel& after, search::Associator& associator,
-                     const search::FilterChain* chain) {
+                     const model::SystemModel& after, search::Associator& associator) {
     WhatIfResult out;
     out.diff = model::diff(before, after);
-    out.after_associations =
-        associator.reassociate(before_associations, out.diff, after, chain);
+    out.after_associations = associator.reassociate(before_associations, out.diff, after);
     out.after_posture = compute_posture(after, out.after_associations);
     out.comparison = compare(compute_posture(before, before_associations), out.after_posture);
     return out;

@@ -25,8 +25,7 @@ struct WhatIfResult {
 [[nodiscard]] WhatIfResult what_if(const model::SystemModel& before,
                                    const search::AssociationMap& before_associations,
                                    const model::SystemModel& after,
-                                   const search::QueryEngine& engine,
-                                   const search::FilterChain* chain = nullptr);
+                                   const search::QueryEngine& engine);
 
 /// Same, but re-association runs through the parallel, cached Associator:
 /// unchanged attributes of touched components hit the query cache, and the
@@ -37,7 +36,6 @@ struct WhatIfResult {
 [[nodiscard]] WhatIfResult what_if(const model::SystemModel& before,
                                    const search::AssociationMap& before_associations,
                                    const model::SystemModel& after,
-                                   search::Associator& associator,
-                                   const search::FilterChain* chain = nullptr);
+                                   search::Associator& associator);
 
 } // namespace cybok::analysis

@@ -1,7 +1,5 @@
 #include "core/session.hpp"
 
-#include "graph/graphml.hpp"
-#include "model/export.hpp"
 #include "util/fault.hpp"
 
 namespace cybok::core {
@@ -141,29 +139,6 @@ void AnalysisSession::set_hazards(safety::HazardModel hazards) {
     flow_prev_model_.reset();
 }
 
-void AnalysisSession::set_missions(model::MissionModel missions) {
-    std::vector<std::string> issues = missions.validate(model_);
-    if (!issues.empty())
-        throw ValidationError("mission model invalid: " + issues.front() + " (+" +
-                              std::to_string(issues.size() - 1) + " more)");
-    missions_ = std::move(missions);
-}
-
-std::vector<analysis::MissionImpact> AnalysisSession::mission_impacts() {
-    if (!missions_.has_value()) return {};
-    return analysis::mission_impacts(*missions_, associations());
-}
-
-std::vector<analysis::Advice> AnalysisSession::model_advice() {
-    return analysis::advise(model_, associations());
-}
-
-graph::PropertyGraph AnalysisSession::architecture() const { return model::to_graph(model_); }
-
-std::string AnalysisSession::architecture_graphml() const {
-    return graph::to_graphml(architecture(), model_.name());
-}
-
 search::AssocMetrics AnalysisSession::assoc_metrics() const {
     search::AssocMetrics m = associator_.metrics();
     m.lint = lint_counts_;
@@ -221,7 +196,7 @@ const search::AssociationMap& AnalysisSession::associations() {
                 throw ValidationError(what);
             }
         }
-        associations_ = associator_.associate(model_, chain());
+        associations_ = associator_.associate(model_);
     }
     return *associations_;
 }
@@ -259,11 +234,6 @@ std::vector<analysis::HardeningCandidate> AnalysisSession::hardening_candidates(
         model_, associations(), hazards_.has_value() ? &*hazards_ : nullptr);
 }
 
-graph::PropertyGraph AnalysisSession::vector_graph(
-    const dashboard::VectorGraphOptions& options) {
-    return dashboard::build_vector_graph(model_, associations(), *corpus_, options);
-}
-
 dashboard::Report AnalysisSession::report() {
     dashboard::ReportExtras extras;
     if (hazards_.has_value()) {
@@ -283,15 +253,14 @@ std::vector<std::string> AnalysisSession::export_bundle(const std::string& direc
 }
 
 analysis::WhatIfResult AnalysisSession::propose(const model::SystemModel& candidate) {
-    return analysis::what_if(model_, associations(), candidate, associator_, chain());
+    return analysis::what_if(model_, associations(), candidate, associator_);
 }
 
 model::ModelDiff AnalysisSession::commit(model::SystemModel candidate) {
     model::ModelDiff d = model::diff(model_, candidate);
     // reassociate drops the refined components' query-cache entries and
     // re-queries only those components; everything else is copied.
-    search::AssociationMap updated =
-        associator_.reassociate(associations(), d, candidate, chain());
+    search::AssociationMap updated = associator_.reassociate(associations(), d, candidate);
     model_ = std::move(candidate);
     invalidate_views();
     associations_ = std::move(updated);

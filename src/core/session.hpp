@@ -2,7 +2,7 @@
 // capabilities as one object —
 //
 //   1. export the system model to a general architectural model
-//      (architecture(), architecture_graphml()),
+//      (export_bundle(); model::to_graph + graph::to_graphml directly),
 //   2. associate attack-vector data to the general model
 //      (associations(), lazily computed, incrementally maintained),
 //   3. present merged views for analysis and decision making
@@ -19,17 +19,13 @@
 #include <string>
 
 #include "analysis/hardening.hpp"
-#include "analysis/mission_impact.hpp"
-#include "analysis/model_advice.hpp"
 #include "analysis/whatif.hpp"
 #include "dashboard/export_bundle.hpp"
-#include "dashboard/vector_graph.hpp"
 #include "flow/flow.hpp"
 #include "lint/lint.hpp"
 #include "safety/scenarios.hpp"
 #include "safety/trace.hpp"
 #include "search/engine.hpp"
-#include "search/filters.hpp"
 #include "search/generation.hpp"
 
 namespace cybok::core {
@@ -39,9 +35,6 @@ struct SessionOptions {
     /// Parallel/caching knobs for the association engine (threads, query
     /// cache); defaults fan out across all cores with the cache on.
     search::AssocOptions assoc;
-    /// Filter chain applied to every attribute's matches (empty = keep
-    /// everything; the Table 1 reproduction runs unfiltered).
-    search::FilterChain filters;
     dashboard::ReportOptions report;
     /// Rule configuration for the static lint pass (lint()); thread count,
     /// disabled rules, per-rule severity overrides.
@@ -220,15 +213,6 @@ public:
     void set_hazards(safety::HazardModel hazards);
     [[nodiscard]] bool has_hazards() const noexcept { return hazards_.has_value(); }
 
-    /// Attach mission traceability (missions/functions/allocations).
-    void set_missions(model::MissionModel missions);
-    [[nodiscard]] bool has_missions() const noexcept { return missions_.has_value(); }
-
-    // -- capability 1: export ------------------------------------------------
-
-    [[nodiscard]] graph::PropertyGraph architecture() const;
-    [[nodiscard]] std::string architecture_graphml() const;
-
     // -- capability 2: associate ---------------------------------------------
 
     /// The association map for the current model (computed on first use,
@@ -243,13 +227,6 @@ public:
     [[nodiscard]] const std::vector<safety::CausalScenario>& causal_scenarios();
     /// Hardening candidates ranked by blocked traces / cut paths.
     [[nodiscard]] std::vector<analysis::HardeningCandidate> hardening_candidates();
-    /// The merged component/attack-vector graph (dashboard graph view).
-    [[nodiscard]] graph::PropertyGraph vector_graph(
-        const dashboard::VectorGraphOptions& options = {});
-    /// Per-mission threat summary (empty without a mission model).
-    [[nodiscard]] std::vector<analysis::MissionImpact> mission_impacts();
-    /// Model-improvement suggestions for the current model + results.
-    [[nodiscard]] std::vector<analysis::Advice> model_advice();
     [[nodiscard]] dashboard::Report report();
     /// Write the full dashboard bundle into an existing directory.
     std::vector<std::string> export_bundle(const std::string& directory);
@@ -265,9 +242,6 @@ public:
 
 private:
     void invalidate_views() noexcept;
-    const search::FilterChain* chain() const noexcept {
-        return options_.filters.stage_count() > 0 ? &options_.filters : nullptr;
-    }
 
     model::SystemModel model_;
     SessionOptions options_;
@@ -276,7 +250,6 @@ private:
     const kb::Corpus* corpus_;      ///< == &engine_handle_->corpus()
     search::Associator associator_;
     std::optional<safety::HazardModel> hazards_;
-    std::optional<model::MissionModel> missions_;
 
     search::LintCounts lint_counts_; ///< most recent lint() run's counts
     search::FlowCounts flow_counts_; ///< cumulative flow-pass counters

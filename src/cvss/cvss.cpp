@@ -48,48 +48,6 @@ double weight(Impact v) {
     return 0.0;
 }
 
-double weight(ExploitMaturity v) {
-    switch (v) {
-        case ExploitMaturity::NotDefined:
-        case ExploitMaturity::High: return 1.0;
-        case ExploitMaturity::Functional: return 0.97;
-        case ExploitMaturity::ProofOfConcept: return 0.94;
-        case ExploitMaturity::Unproven: return 0.91;
-    }
-    return 1.0;
-}
-
-double weight(RemediationLevel v) {
-    switch (v) {
-        case RemediationLevel::NotDefined:
-        case RemediationLevel::Unavailable: return 1.0;
-        case RemediationLevel::Workaround: return 0.97;
-        case RemediationLevel::TemporaryFix: return 0.96;
-        case RemediationLevel::OfficialFix: return 0.95;
-    }
-    return 1.0;
-}
-
-double weight(ReportConfidence v) {
-    switch (v) {
-        case ReportConfidence::NotDefined:
-        case ReportConfidence::Confirmed: return 1.0;
-        case ReportConfidence::Reasonable: return 0.96;
-        case ReportConfidence::Unknown: return 0.92;
-    }
-    return 1.0;
-}
-
-double weight(Requirement v) {
-    switch (v) {
-        case Requirement::NotDefined:
-        case Requirement::Medium: return 1.0;
-        case Requirement::High: return 1.5;
-        case Requirement::Low: return 0.5;
-    }
-    return 1.0;
-}
-
 // -- parsing --------------------------------------------------------------
 
 template <typename T>
@@ -285,40 +243,6 @@ double base_score(const Vector& v) {
     const double expl = exploitability_subscore(v);
     if (v.scope == Scope::Unchanged) return roundup(std::min(impact + expl, 10.0));
     return roundup(std::min(1.08 * (impact + expl), 10.0));
-}
-
-double temporal_score(const Vector& v) {
-    return roundup(base_score(v) * weight(v.exploit) * weight(v.remediation) *
-                   weight(v.confidence));
-}
-
-double environmental_score(const Vector& v) {
-    const AttackVector mav = v.mav.value_or(v.av);
-    const AttackComplexity mac = v.mac.value_or(v.ac);
-    const PrivilegesRequired mpr = v.mpr.value_or(v.pr);
-    const UserInteraction mui = v.mui.value_or(v.ui);
-    const Scope ms = v.mscope.value_or(v.scope);
-    const Impact mc = v.mconf.value_or(v.conf);
-    const Impact mi = v.minteg.value_or(v.integ);
-    const Impact ma = v.mavail.value_or(v.avail);
-
-    const double miss = std::min(1.0 - (1.0 - weight(v.cr) * weight(mc)) *
-                                           (1.0 - weight(v.ir) * weight(mi)) *
-                                           (1.0 - weight(v.ar) * weight(ma)),
-                                 0.915);
-    double m_impact;
-    if (ms == Scope::Unchanged) {
-        m_impact = 6.42 * miss;
-    } else {
-        m_impact = 7.52 * (miss - 0.029) - 3.25 * std::pow(miss * 0.9731 - 0.02, 13.0);
-    }
-    if (m_impact <= 0.0) return 0.0;
-    const double m_expl = 8.22 * weight(mav) * weight(mac) * weight(mpr, ms) * weight(mui);
-    const double temporal_factor =
-        weight(v.exploit) * weight(v.remediation) * weight(v.confidence);
-    if (ms == Scope::Unchanged)
-        return roundup(roundup(std::min(m_impact + m_expl, 10.0)) * temporal_factor);
-    return roundup(roundup(std::min(1.08 * (m_impact + m_expl), 10.0)) * temporal_factor);
 }
 
 Severity severity_band(double score) {

@@ -1,5 +1,6 @@
-// CVSS v3.1 vector parsing and scoring (base, temporal, environmental),
-// implemented to the FIRST.org specification.
+// CVSS v3.1 vector parsing and base scoring, implemented to the FIRST.org
+// specification. Temporal and environmental metrics are parsed and
+// round-tripped but not scored: every consumer ranks by base severity.
 //
 // The paper (citing Spring et al., "Towards Improving CVSS") stresses that
 // CVSS measures the *severity* of a vulnerability, not the *risk* a system
@@ -23,12 +24,12 @@ enum class UserInteraction { None, Required };
 enum class Scope { Unchanged, Changed };
 enum class Impact { High, Low, None };
 
-// Temporal metrics; NotDefined scores as 1.0.
+// Temporal metrics.
 enum class ExploitMaturity { NotDefined, High, Functional, ProofOfConcept, Unproven };
 enum class RemediationLevel { NotDefined, Unavailable, Workaround, TemporaryFix, OfficialFix };
 enum class ReportConfidence { NotDefined, Confirmed, Reasonable, Unknown };
 
-// Environmental requirement metrics; NotDefined scores as 1.0.
+// Environmental requirement metrics.
 enum class Requirement { NotDefined, High, Medium, Low };
 
 /// A parsed CVSS v3.1 vector. Base metrics are mandatory; temporal and
@@ -79,12 +80,6 @@ struct Vector {
 
 /// Base score in [0.0, 10.0], one decimal (spec Roundup semantics).
 [[nodiscard]] double base_score(const Vector& v);
-
-/// Temporal score (equals base score when all temporal metrics NotDefined).
-[[nodiscard]] double temporal_score(const Vector& v);
-
-/// Environmental score (equals temporal score when nothing is modified).
-[[nodiscard]] double environmental_score(const Vector& v);
 
 /// Sub-scores the spec defines alongside the base score.
 [[nodiscard]] double impact_subscore(const Vector& v);

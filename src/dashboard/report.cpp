@@ -276,8 +276,7 @@ Report build_report(const model::SystemModel& m, const search::AssociationMap& a
         };
         section.lines.push_back("Stage timings: analyze " + fmt_ms(am.timings.analyze_ns) +
                                 ", lexical " + fmt_ms(am.timings.lexical_ns) + ", binding " +
-                                fmt_ms(am.timings.binding_ns) + ", filter " +
-                                fmt_ms(am.timings.filter_ns) + ", wall " +
+                                fmt_ms(am.timings.binding_ns) + ", wall " +
                                 fmt_ms(am.timings.wall_ns) + ".");
         report.sections.push_back(std::move(section));
     }

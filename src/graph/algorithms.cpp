@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
+#include <functional>
 #include <set>
 #include <stack>
 
@@ -20,10 +20,6 @@ std::vector<NodeId> step(const PropertyGraph& g, NodeId n, Direction dir) {
 }
 
 } // namespace
-
-std::vector<NodeId> bfs_order(const PropertyGraph& g, NodeId start, Direction dir) {
-    return reachable_from(g, {start}, dir);
-}
 
 std::vector<NodeId> reachable_from(const PropertyGraph& g, const std::vector<NodeId>& starts,
                                    Direction dir) {
@@ -54,136 +50,6 @@ std::vector<NodeId> reachable_from(const PropertyGraph& g, const std::vector<Nod
         }
     }
     return order;
-}
-
-std::vector<NodeId> dfs_postorder(const PropertyGraph& g) {
-    std::vector<NodeId> order;
-    std::vector<char> state; // 0 unseen, 1 open, 2 done
-    auto st = [&](NodeId n) -> char& {
-        if (state.size() <= n.value) state.resize(n.value + 1, 0);
-        return state[n.value];
-    };
-    for (NodeId root : g.nodes()) {
-        if (st(root) != 0) continue;
-        // Iterative DFS with explicit expansion flag.
-        std::stack<std::pair<NodeId, bool>> stack;
-        stack.push({root, false});
-        while (!stack.empty()) {
-            auto [n, expanded] = stack.top();
-            stack.pop();
-            if (expanded) {
-                st(n) = 2;
-                order.push_back(n);
-                continue;
-            }
-            if (st(n) != 0) continue;
-            st(n) = 1;
-            stack.push({n, true});
-            std::vector<NodeId> succ = g.successors(n);
-            // Push in reverse so traversal visits successors in id order.
-            for (auto it = succ.rbegin(); it != succ.rend(); ++it)
-                if (st(*it) == 0) stack.push({*it, false});
-        }
-    }
-    return order;
-}
-
-std::optional<std::vector<NodeId>> topological_order(const PropertyGraph& g) {
-    std::vector<NodeId> nodes = g.nodes();
-    std::map<NodeId, std::size_t> indegree;
-    for (NodeId n : nodes) indegree[n] = g.in_degree(n);
-    // Min-heap by id for deterministic output.
-    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
-    for (NodeId n : nodes)
-        if (indegree[n] == 0) ready.push(n);
-    std::vector<NodeId> order;
-    order.reserve(nodes.size());
-    while (!ready.empty()) {
-        NodeId n = ready.top();
-        ready.pop();
-        order.push_back(n);
-        for (NodeId m : g.successors(n))
-            if (--indegree[m] == 0) ready.push(m);
-    }
-    if (order.size() != nodes.size()) return std::nullopt;
-    return order;
-}
-
-bool has_cycle(const PropertyGraph& g) { return !topological_order(g).has_value(); }
-
-std::vector<std::vector<NodeId>> weakly_connected_components(const PropertyGraph& g) {
-    std::vector<std::vector<NodeId>> components;
-    std::set<NodeId> visited;
-    for (NodeId n : g.nodes()) {
-        if (visited.contains(n)) continue;
-        std::vector<NodeId> comp = bfs_order(g, n, Direction::Undirected);
-        std::sort(comp.begin(), comp.end());
-        for (NodeId m : comp) visited.insert(m);
-        components.push_back(std::move(comp));
-    }
-    std::sort(components.begin(), components.end(),
-              [](const auto& a, const auto& b) { return a.front() < b.front(); });
-    return components;
-}
-
-std::vector<std::vector<NodeId>> strongly_connected_components(const PropertyGraph& g) {
-    // Iterative Tarjan.
-    struct Frame {
-        NodeId node;
-        std::size_t next_child = 0;
-        std::vector<NodeId> succ;
-    };
-    std::map<NodeId, int> index;
-    std::map<NodeId, int> low;
-    std::map<NodeId, bool> on_stack;
-    std::vector<NodeId> stack;
-    std::vector<std::vector<NodeId>> components;
-    int counter = 0;
-
-    for (NodeId root : g.nodes()) {
-        if (index.contains(root)) continue;
-        std::vector<Frame> frames;
-        frames.push_back(Frame{root, 0, g.successors(root)});
-        index[root] = low[root] = counter++;
-        stack.push_back(root);
-        on_stack[root] = true;
-
-        while (!frames.empty()) {
-            Frame& f = frames.back();
-            if (f.next_child < f.succ.size()) {
-                NodeId w = f.succ[f.next_child++];
-                if (!index.contains(w)) {
-                    index[w] = low[w] = counter++;
-                    stack.push_back(w);
-                    on_stack[w] = true;
-                    frames.push_back(Frame{w, 0, g.successors(w)});
-                } else if (on_stack[w]) {
-                    low[f.node] = std::min(low[f.node], index[w]);
-                }
-                continue;
-            }
-            // All children done: close the frame.
-            NodeId v = f.node;
-            frames.pop_back();
-            if (!frames.empty())
-                low[frames.back().node] = std::min(low[frames.back().node], low[v]);
-            if (low[v] == index[v]) {
-                std::vector<NodeId> comp;
-                while (true) {
-                    NodeId w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = false;
-                    comp.push_back(w);
-                    if (w == v) break;
-                }
-                std::sort(comp.begin(), comp.end());
-                components.push_back(std::move(comp));
-            }
-        }
-    }
-    std::sort(components.begin(), components.end(),
-              [](const auto& a, const auto& b) { return a.front() < b.front(); });
-    return components;
 }
 
 std::vector<std::uint32_t> bfs_distances(const PropertyGraph& g, NodeId from, Direction dir) {
@@ -269,29 +135,6 @@ SimplePaths all_simple_paths_bounded(const PropertyGraph& g, NodeId from, NodeId
     };
     dfs(from);
     if (out.paths.size() >= max_paths) out.truncated = true;
-    return out;
-}
-
-std::vector<std::vector<NodeId>> all_simple_paths(const PropertyGraph& g, NodeId from, NodeId to,
-                                                  std::size_t max_hops, std::size_t max_paths) {
-    return all_simple_paths_bounded(g, from, to, max_hops, max_paths).paths;
-}
-
-std::vector<std::vector<NodeId>> k_shortest_paths(const PropertyGraph& g, NodeId from, NodeId to,
-                                                  std::size_t k) {
-    // Enumerate bounded simple paths and keep the k shortest; adequate for
-    // architecture-scale graphs (tens to hundreds of nodes).
-    std::size_t bound = g.node_count();
-    std::vector<std::vector<NodeId>> all = all_simple_paths(g, from, to, bound, 65536);
-    std::stable_sort(all.begin(), all.end(),
-                     [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    if (all.size() > k) all.resize(k);
-    return all;
-}
-
-std::map<NodeId, std::size_t> degree_centrality(const PropertyGraph& g) {
-    std::map<NodeId, std::size_t> out;
-    for (NodeId n : g.nodes()) out[n] = g.in_degree(n) + g.out_degree(n);
     return out;
 }
 

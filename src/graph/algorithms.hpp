@@ -5,9 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "graph/property_graph.hpp"
@@ -17,34 +15,11 @@ namespace cybok::graph {
 /// Direction in which edges are followed during traversal.
 enum class Direction { Forward, Backward, Undirected };
 
-/// Nodes reachable from `start` (inclusive), BFS order.
-[[nodiscard]] std::vector<NodeId> bfs_order(const PropertyGraph& g, NodeId start,
-                                            Direction dir = Direction::Forward);
-
-/// Nodes reachable from any node in `starts` (inclusive of live starts).
+/// Nodes reachable from any node in `starts` (inclusive of the starts),
+/// BFS order.
 [[nodiscard]] std::vector<NodeId> reachable_from(const PropertyGraph& g,
                                                  const std::vector<NodeId>& starts,
                                                  Direction dir = Direction::Forward);
-
-/// Depth-first post-order over the whole graph (deterministic by node id).
-[[nodiscard]] std::vector<NodeId> dfs_postorder(const PropertyGraph& g);
-
-/// Topological order of all live nodes, or nullopt if the graph has a
-/// directed cycle.
-[[nodiscard]] std::optional<std::vector<NodeId>> topological_order(const PropertyGraph& g);
-
-/// True if a directed cycle exists.
-[[nodiscard]] bool has_cycle(const PropertyGraph& g);
-
-/// Weakly connected components; each inner vector is one component, nodes
-/// sorted by id, components sorted by their smallest node id.
-[[nodiscard]] std::vector<std::vector<NodeId>> weakly_connected_components(const PropertyGraph& g);
-
-/// Strongly connected components (Tarjan, iterative); nodes sorted by id
-/// within a component, components sorted by their smallest node id.
-/// Singleton components are included (every DAG node is its own SCC).
-[[nodiscard]] std::vector<std::vector<NodeId>> strongly_connected_components(
-    const PropertyGraph& g);
 
 /// Unweighted shortest path from `from` to `to` (inclusive endpoints), or
 /// empty if unreachable.
@@ -56,23 +31,12 @@ enum class Direction { Forward, Backward, Undirected };
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const PropertyGraph& g, NodeId from,
                                                        Direction dir = Direction::Forward);
 
-/// Up to `k` simple paths from `from` to `to`, shortest first (Yen-style
-/// enumeration over the unweighted graph). Each path includes endpoints.
-[[nodiscard]] std::vector<std::vector<NodeId>> k_shortest_paths(const PropertyGraph& g,
-                                                                NodeId from, NodeId to,
-                                                                std::size_t k);
-
 /// All simple paths from `from` to `to` of length <= max_hops (edge count),
 /// capped at `max_paths` results. DFS enumeration; deterministic order.
-[[nodiscard]] std::vector<std::vector<NodeId>> all_simple_paths(const PropertyGraph& g,
-                                                                NodeId from, NodeId to,
-                                                                std::size_t max_hops,
-                                                                std::size_t max_paths = 4096);
-
-/// all_simple_paths with an explicit truncation signal: `truncated` is true
-/// when the enumeration gave up on a bound (the result cap was reached, or
-/// some branch was cut off by max_hops) rather than because the path space
-/// was exhausted. Lets callers distinguish "no more paths" from "gave up".
+/// `truncated` is true when the enumeration gave up on a bound (the result
+/// cap was reached, or some branch was cut off by max_hops) rather than
+/// because the path space was exhausted. Lets callers distinguish "no more
+/// paths" from "gave up".
 struct SimplePaths {
     std::vector<std::vector<NodeId>> paths;
     bool truncated = false;
@@ -80,9 +44,6 @@ struct SimplePaths {
 [[nodiscard]] SimplePaths all_simple_paths_bounded(const PropertyGraph& g, NodeId from,
                                                    NodeId to, std::size_t max_hops,
                                                    std::size_t max_paths = 4096);
-
-/// In+out degree for every live node.
-[[nodiscard]] std::map<NodeId, std::size_t> degree_centrality(const PropertyGraph& g);
 
 /// Brandes' betweenness centrality over the directed, unweighted graph.
 /// Scores are unnormalized pair counts.

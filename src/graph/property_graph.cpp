@@ -17,68 +17,39 @@ std::string property_to_string(const Property& p) {
 }
 
 void PropertyGraph::check(NodeId id) const {
-    if (id.value >= nodes_.size() || !nodes_[id.value].alive)
-        throw NotFoundError("graph: node id " + std::to_string(id.value) + " is not live");
+    if (!contains(id))
+        throw NotFoundError("graph: node id " + std::to_string(id.value) + " is not in the graph");
 }
 
 void PropertyGraph::check(EdgeId id) const {
-    if (id.value >= edges_.size() || !edges_[id.value].alive)
-        throw NotFoundError("graph: edge id " + std::to_string(id.value) + " is not live");
+    if (!contains(id))
+        throw NotFoundError("graph: edge id " + std::to_string(id.value) + " is not in the graph");
 }
 
 NodeId PropertyGraph::add_node(std::string label) {
     NodeSlot slot;
     slot.data.label = std::move(label);
     nodes_.push_back(std::move(slot));
-    ++live_nodes_;
     return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
 EdgeId PropertyGraph::add_edge(NodeId source, NodeId target, std::string label) {
     check(source);
     check(target);
-    EdgeSlot slot;
-    slot.data.source = source;
-    slot.data.target = target;
-    slot.data.label = std::move(label);
-    edges_.push_back(std::move(slot));
+    Edge edge;
+    edge.source = source;
+    edge.target = target;
+    edge.label = std::move(label);
+    edges_.push_back(std::move(edge));
     EdgeId id{static_cast<std::uint32_t>(edges_.size() - 1)};
     nodes_[source.value].out.push_back(id);
     nodes_[target.value].in.push_back(id);
-    ++live_edges_;
     return id;
 }
 
-void PropertyGraph::remove_edge(EdgeId id) {
-    check(id);
-    EdgeSlot& slot = edges_[id.value];
-    auto erase_from = [id](std::vector<EdgeId>& v) {
-        v.erase(std::remove(v.begin(), v.end(), id), v.end());
-    };
-    erase_from(nodes_[slot.data.source.value].out);
-    erase_from(nodes_[slot.data.target.value].in);
-    slot.alive = false;
-    --live_edges_;
-}
+bool PropertyGraph::contains(NodeId id) const noexcept { return id.value < nodes_.size(); }
 
-void PropertyGraph::remove_node(NodeId id) {
-    check(id);
-    // Copy: remove_edge mutates the adjacency lists we iterate.
-    std::vector<EdgeId> incident = nodes_[id.value].out;
-    incident.insert(incident.end(), nodes_[id.value].in.begin(), nodes_[id.value].in.end());
-    for (EdgeId e : incident)
-        if (contains(e)) remove_edge(e);
-    nodes_[id.value].alive = false;
-    --live_nodes_;
-}
-
-bool PropertyGraph::contains(NodeId id) const noexcept {
-    return id.value < nodes_.size() && nodes_[id.value].alive;
-}
-
-bool PropertyGraph::contains(EdgeId id) const noexcept {
-    return id.value < edges_.size() && edges_[id.value].alive;
-}
+bool PropertyGraph::contains(EdgeId id) const noexcept { return id.value < edges_.size(); }
 
 const PropertyGraph::Node& PropertyGraph::node(NodeId id) const {
     check(id);
@@ -92,17 +63,17 @@ PropertyGraph::Node& PropertyGraph::node(NodeId id) {
 
 const PropertyGraph::Edge& PropertyGraph::edge(EdgeId id) const {
     check(id);
-    return edges_[id.value].data;
+    return edges_[id.value];
 }
 
 PropertyGraph::Edge& PropertyGraph::edge(EdgeId id) {
     check(id);
-    return edges_[id.value].data;
+    return edges_[id.value];
 }
 
 std::optional<NodeId> PropertyGraph::find_node(std::string_view label) const noexcept {
     for (std::uint32_t i = 0; i < nodes_.size(); ++i)
-        if (nodes_[i].alive && nodes_[i].data.label == label) return NodeId{i};
+        if (nodes_[i].data.label == label) return NodeId{i};
     return std::nullopt;
 }
 
@@ -113,7 +84,7 @@ void PropertyGraph::set_property(NodeId id, std::string_view key, Property value
 
 void PropertyGraph::set_property(EdgeId id, std::string_view key, Property value) {
     check(id);
-    edges_[id.value].data.properties.insert_or_assign(std::string(key), std::move(value));
+    edges_[id.value].properties.insert_or_assign(std::string(key), std::move(value));
 }
 
 const Property* PropertyGraph::get_property(NodeId id, std::string_view key) const noexcept {
@@ -125,24 +96,22 @@ const Property* PropertyGraph::get_property(NodeId id, std::string_view key) con
 
 const Property* PropertyGraph::get_property(EdgeId id, std::string_view key) const noexcept {
     if (!contains(id)) return nullptr;
-    const PropertyMap& m = edges_[id.value].data.properties;
+    const PropertyMap& m = edges_[id.value].properties;
     auto it = m.find(key);
     return it == m.end() ? nullptr : &it->second;
 }
 
 std::vector<NodeId> PropertyGraph::nodes() const {
     std::vector<NodeId> out;
-    out.reserve(live_nodes_);
-    for (std::uint32_t i = 0; i < nodes_.size(); ++i)
-        if (nodes_[i].alive) out.push_back(NodeId{i});
+    out.reserve(nodes_.size());
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) out.push_back(NodeId{i});
     return out;
 }
 
 std::vector<EdgeId> PropertyGraph::edges() const {
     std::vector<EdgeId> out;
-    out.reserve(live_edges_);
-    for (std::uint32_t i = 0; i < edges_.size(); ++i)
-        if (edges_[i].alive) out.push_back(EdgeId{i});
+    out.reserve(edges_.size());
+    for (std::uint32_t i = 0; i < edges_.size(); ++i) out.push_back(EdgeId{i});
     return out;
 }
 
@@ -158,13 +127,13 @@ const std::vector<EdgeId>& PropertyGraph::in_edges(NodeId id) const {
 
 std::vector<NodeId> PropertyGraph::successors(NodeId id) const {
     std::vector<NodeId> out;
-    for (EdgeId e : out_edges(id)) out.push_back(edges_[e.value].data.target);
+    for (EdgeId e : out_edges(id)) out.push_back(edges_[e.value].target);
     return out;
 }
 
 std::vector<NodeId> PropertyGraph::predecessors(NodeId id) const {
     std::vector<NodeId> out;
-    for (EdgeId e : in_edges(id)) out.push_back(edges_[e.value].data.source);
+    for (EdgeId e : in_edges(id)) out.push_back(edges_[e.value].source);
     return out;
 }
 
@@ -178,7 +147,7 @@ std::vector<NodeId> PropertyGraph::neighbors(NodeId id) const {
 
 std::optional<EdgeId> PropertyGraph::find_edge(NodeId source, NodeId target) const {
     for (EdgeId e : out_edges(source))
-        if (edges_[e.value].data.target == target) return e;
+        if (edges_[e.value].target == target) return e;
     return std::nullopt;
 }
 

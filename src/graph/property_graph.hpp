@@ -17,7 +17,7 @@
 
 namespace cybok::graph {
 
-/// Stable handle to a node. Handles are never reused within one graph.
+/// Stable handle to a node (its insertion index).
 struct NodeId {
     std::uint32_t value = UINT32_MAX;
     [[nodiscard]] bool valid() const noexcept { return value != UINT32_MAX; }
@@ -40,9 +40,8 @@ using PropertyMap = std::map<std::string, Property, std::less<>>;
 /// Render a property as the string GraphML/DOT would emit.
 [[nodiscard]] std::string property_to_string(const Property& p);
 
-/// A directed multigraph with properties, supporting O(1) amortized
-/// insertion and tombstone removal (handles of removed elements stay
-/// invalid forever; iteration skips tombstones).
+/// An append-only directed multigraph with properties: O(1) amortized
+/// insertion, and handles are dense insertion indices.
 class PropertyGraph {
 public:
     struct Node {
@@ -60,10 +59,6 @@ public:
 
     NodeId add_node(std::string label);
     EdgeId add_edge(NodeId source, NodeId target, std::string label = "");
-
-    /// Remove a node and all incident edges. Throws NotFoundError if stale.
-    void remove_node(NodeId id);
-    void remove_edge(EdgeId id);
 
     // -- element access ----------------------------------------------------
 
@@ -87,10 +82,10 @@ public:
 
     // -- topology ----------------------------------------------------------
 
-    [[nodiscard]] std::size_t node_count() const noexcept { return live_nodes_; }
-    [[nodiscard]] std::size_t edge_count() const noexcept { return live_edges_; }
+    [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
+    [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
 
-    /// Live node / edge ids in insertion order.
+    /// Node / edge ids in insertion order.
     [[nodiscard]] std::vector<NodeId> nodes() const;
     [[nodiscard]] std::vector<EdgeId> edges() const;
 
@@ -115,17 +110,10 @@ private:
         Node data;
         std::vector<EdgeId> out;
         std::vector<EdgeId> in;
-        bool alive = true;
-    };
-    struct EdgeSlot {
-        Edge data;
-        bool alive = true;
     };
 
     std::vector<NodeSlot> nodes_;
-    std::vector<EdgeSlot> edges_;
-    std::size_t live_nodes_ = 0;
-    std::size_t live_edges_ = 0;
+    std::vector<Edge> edges_;
 };
 
 } // namespace cybok::graph

@@ -14,15 +14,6 @@ char platform_part_code(PlatformPart p) noexcept {
     return '?';
 }
 
-std::string_view platform_part_name(PlatformPart p) noexcept {
-    switch (p) {
-        case PlatformPart::Application: return "application";
-        case PlatformPart::OperatingSystem: return "operating-system";
-        case PlatformPart::Hardware: return "hardware";
-    }
-    return "?";
-}
-
 std::string Platform::uri() const {
     std::string out = "cpe:2.3:";
     out.push_back(platform_part_code(part));

@@ -17,7 +17,6 @@ namespace cybok::kb {
 enum class PlatformPart { Application, OperatingSystem, Hardware };
 
 [[nodiscard]] char platform_part_code(PlatformPart p) noexcept;
-[[nodiscard]] std::string_view platform_part_name(PlatformPart p) noexcept;
 
 /// A structured platform name, modeled on CPE 2.3 with the fields that
 /// matter for design-phase matching. "*" (ANY) is expressed as an empty

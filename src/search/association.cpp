@@ -70,8 +70,7 @@ std::vector<AssociationMap::TableRow> AssociationMap::attribute_table() const {
 
 namespace {
 
-ComponentAssociation associate_component(const model::Component& c, const QueryEngine& engine,
-                                         const FilterChain* chain) {
+ComponentAssociation associate_component(const model::Component& c, const QueryEngine& engine) {
     ComponentAssociation out;
     out.component = c.name;
     for (const model::Attribute& attr : c.attributes) {
@@ -79,7 +78,6 @@ ComponentAssociation associate_component(const model::Component& c, const QueryE
         aa.attribute_name = attr.name;
         aa.attribute_value = attr.value;
         aa.matches = engine.query_attribute(attr);
-        if (chain != nullptr) aa.matches = chain->apply(std::move(aa.matches));
         out.attributes.push_back(std::move(aa));
     }
     return out;
@@ -87,19 +85,17 @@ ComponentAssociation associate_component(const model::Component& c, const QueryE
 
 } // namespace
 
-AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine,
-                         const FilterChain* chain) {
+AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine) {
     AssociationMap map;
     for (const model::Component& c : m.components()) {
         if (!c.id.valid()) continue;
-        map.components.push_back(associate_component(c, engine, chain));
+        map.components.push_back(associate_component(c, engine));
     }
     return map;
 }
 
 AssociationMap reassociate(const AssociationMap& previous, const model::ModelDiff& diff,
-                           const model::SystemModel& after, const QueryEngine& engine,
-                           const FilterChain* chain) {
+                           const model::SystemModel& after, const QueryEngine& engine) {
     std::set<std::string> touched;
     for (const std::string& name : diff.touched_components()) touched.insert(name);
     std::set<std::string> removed(diff.removed_components.begin(),
@@ -114,7 +110,7 @@ AssociationMap reassociate(const AssociationMap& previous, const model::ModelDif
                 continue;
             }
         }
-        map.components.push_back(associate_component(c, engine, chain));
+        map.components.push_back(associate_component(c, engine));
     }
     (void)removed; // removed components simply don't appear in `after`
     return map;
@@ -180,7 +176,7 @@ std::string cache_key(const std::string& options_signature, const model::Attribu
 
 } // namespace
 
-void Associator::run_tasks(std::vector<Task>& tasks, const FilterChain* chain) {
+void Associator::run_tasks(std::vector<Task>& tasks) {
     const Clock::time_point wall_start = Clock::now();
     pool_.parallel_for(tasks.size(), [&](std::size_t i) {
         const Task& task = tasks[i];
@@ -233,11 +229,6 @@ void Associator::run_tasks(std::vector<Task>& tasks, const FilterChain* chain) {
                 }
             }
         }
-        if (chain != nullptr) {
-            const Clock::time_point filter_start = Clock::now();
-            matches = chain->apply(std::move(matches));
-            local.timings.filter_ns += ns_since(filter_start);
-        }
         *task.out = std::move(matches);
         std::lock_guard<std::mutex> lk(metrics_mutex_);
         metrics_.merge(local);
@@ -248,7 +239,7 @@ void Associator::run_tasks(std::vector<Task>& tasks, const FilterChain* chain) {
     metrics_.timings.wall_ns += ns_since(wall_start);
 }
 
-AssociationMap Associator::associate(const model::SystemModel& m, const FilterChain* chain) {
+AssociationMap Associator::associate(const model::SystemModel& m) {
     AssociationMap map;
     std::vector<Task> tasks;
     for (const model::Component& c : m.components()) {
@@ -275,14 +266,13 @@ AssociationMap Associator::associate(const model::SystemModel& m, const FilterCh
         std::lock_guard<std::mutex> lk(metrics_mutex_);
         metrics_.components += map.components.size();
     }
-    run_tasks(tasks, chain);
+    run_tasks(tasks);
     return map;
 }
 
 AssociationMap Associator::reassociate(const AssociationMap& previous,
                                        const model::ModelDiff& diff,
-                                       const model::SystemModel& after,
-                                       const FilterChain* chain) {
+                                       const model::SystemModel& after) {
     std::set<std::string> touched;
     for (const std::string& name : diff.touched_components()) touched.insert(name);
 
@@ -329,7 +319,7 @@ AssociationMap Associator::reassociate(const AssociationMap& previous,
         metrics_.reused_components += map.components.size() - requery.size();
         metrics_.cache_invalidations += invalidated;
     }
-    run_tasks(tasks, chain);
+    run_tasks(tasks);
     return map;
 }
 

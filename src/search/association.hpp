@@ -21,7 +21,6 @@
 
 #include "model/diff.hpp"
 #include "search/engine.hpp"
-#include "search/filters.hpp"
 #include "search/metrics.hpp"
 #include "search/query_cache.hpp"
 #include "util/thread_pool.hpp"
@@ -66,20 +65,17 @@ struct AssociationMap {
     [[nodiscard]] std::vector<TableRow> attribute_table() const;
 };
 
-/// Associate the whole model. If `chain` is non-null, every attribute's
-/// matches are passed through the filter chain.
-[[nodiscard]] AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine,
-                                       const FilterChain* chain = nullptr);
+/// Associate the whole model.
+[[nodiscard]] AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine);
 
 /// Incremental re-association after a model edit: only components named in
 /// the diff are re-queried; associations of untouched components are
-/// copied from `previous`. Equivalent to associate(after, engine, chain)
+/// copied from `previous`. Equivalent to associate(after, engine)
 /// whenever `diff` is exactly diff(before, after).
 [[nodiscard]] AssociationMap reassociate(const AssociationMap& previous,
                                          const model::ModelDiff& diff,
                                          const model::SystemModel& after,
-                                         const QueryEngine& engine,
-                                         const FilterChain* chain = nullptr);
+                                         const QueryEngine& engine);
 
 /// Execution knobs for the Associator.
 struct AssocOptions {
@@ -132,16 +128,14 @@ public:
     [[nodiscard]] std::size_t thread_count() const noexcept { return pool_.thread_count(); }
 
     /// Parallel equivalent of search::associate().
-    [[nodiscard]] AssociationMap associate(const model::SystemModel& m,
-                                           const FilterChain* chain = nullptr);
+    [[nodiscard]] AssociationMap associate(const model::SystemModel& m);
 
     /// Parallel equivalent of search::reassociate(). Cache entries of the
     /// diff's touched and removed components are invalidated before the
     /// touched components are re-queried.
     [[nodiscard]] AssociationMap reassociate(const AssociationMap& previous,
                                              const model::ModelDiff& diff,
-                                             const model::SystemModel& after,
-                                             const FilterChain* chain = nullptr);
+                                             const model::SystemModel& after);
 
     /// Metrics accumulated since construction / the last reset (snapshot
     /// under lock — safe while runs are in flight).
@@ -153,7 +147,7 @@ public:
 
 private:
     struct Task; // one (component, attribute) query
-    void run_tasks(std::vector<Task>& tasks, const FilterChain* chain);
+    void run_tasks(std::vector<Task>& tasks);
 
     const QueryEngine* engine_;
     AssocOptions options_;

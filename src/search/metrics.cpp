@@ -9,7 +9,6 @@ void StageTimings::merge(const StageTimings& other) noexcept {
     analyze_ns += other.analyze_ns;
     lexical_ns += other.lexical_ns;
     binding_ns += other.binding_ns;
-    filter_ns += other.filter_ns;
     wall_ns += other.wall_ns;
 }
 
@@ -145,7 +144,7 @@ std::string AssocMetrics::summary() const {
             << " tombstoned";
     out << "; " << threads << " thread(s); stage ms: analyze "
         << ms(timings.analyze_ns) << ", lexical " << ms(timings.lexical_ns) << ", binding "
-        << ms(timings.binding_ns) << ", filter " << ms(timings.filter_ns) << ", wall "
+        << ms(timings.binding_ns) << ", wall "
         << ms(timings.wall_ns);
     if (build.wall_ns > 0) {
         out << "; engine " << (build.from_snapshot ? "thawed from snapshot" : "built") << " in "
@@ -198,7 +197,6 @@ json::Value AssocMetrics::to_json() const {
     t["analyze_ns"] = timings.analyze_ns;
     t["lexical_ns"] = timings.lexical_ns;
     t["binding_ns"] = timings.binding_ns;
-    t["filter_ns"] = timings.filter_ns;
     t["wall_ns"] = timings.wall_ns;
     o["timings"] = std::move(t);
     o["build"] = build.to_json();

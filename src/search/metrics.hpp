@@ -23,7 +23,6 @@ struct StageTimings {
     std::uint64_t analyze_ns = 0; ///< tokenize + stopwords + stem of attribute text
     std::uint64_t lexical_ns = 0; ///< BM25/TF-IDF ranking + evidence gating
     std::uint64_t binding_ns = 0; ///< CPE platform-binding lookups
-    std::uint64_t filter_ns = 0;  ///< FilterChain application
     std::uint64_t wall_ns = 0;    ///< end-to-end wall clock of the run
 
     void merge(const StageTimings& other) noexcept;

@@ -27,10 +27,9 @@
 
 namespace cybok::search {
 
-/// Thread-safe FIFO-bounded map from query key to unfiltered match list.
-/// All methods lock internally; safe for concurrent mixed get/put from the
-/// parallel association fan-out. Values are stored pre-filter so one entry
-/// serves callers with different FilterChains.
+/// Thread-safe FIFO-bounded map from query key to match list. All methods
+/// lock internally; safe for concurrent mixed get/put from the parallel
+/// association fan-out.
 class QueryCache {
 public:
     explicit QueryCache(std::size_t capacity = 1 << 14) : capacity_(capacity) {}

@@ -178,23 +178,6 @@ TEST(Associator, MetricsJsonRoundTrips) {
     EXPECT_EQ(back.at("cache_misses").as_int(), v.at("cache_misses").as_int());
 }
 
-TEST(Associator, FilterChainAppliedAfterCache) {
-    search::SearchEngine engine(small_corpus());
-    search::FilterChain chain;
-    chain.add(search::by_class(search::VectorClass::Weakness));
-
-    search::Associator assoc(engine, {});
-    model::SystemModel m = synth::centrifuge_model();
-    // Prime the cache unfiltered, then query filtered: the cached entry
-    // must be stored pre-filter so both calls see correct results.
-    search::AssociationMap unfiltered = assoc.associate(m);
-    search::AssociationMap filtered = assoc.associate(m, &chain);
-    EXPECT_GT(unfiltered.total(search::VectorClass::AttackPattern), 0u);
-    EXPECT_EQ(filtered.total(search::VectorClass::AttackPattern), 0u);
-    EXPECT_EQ(filtered.total(search::VectorClass::Weakness),
-              unfiltered.total(search::VectorClass::Weakness));
-}
-
 TEST(Associator, OptionsSignatureSeparatesEngines) {
     search::EngineOptions a;
     search::EngineOptions b;

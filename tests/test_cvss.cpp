@@ -119,39 +119,6 @@ TEST(CvssScore, RangeInvariant) {
 TEST(CvssScore, ZeroImpactMeansZeroScore) {
     Vector v = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:C/C:N/I:N/A:N");
     EXPECT_DOUBLE_EQ(base_score(v), 0.0);
-    EXPECT_DOUBLE_EQ(temporal_score(v), 0.0);
-    EXPECT_DOUBLE_EQ(environmental_score(v), 0.0);
-}
-
-TEST(CvssScore, TemporalNeverExceedsBase) {
-    Vector v = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/E:U/RL:O/RC:U");
-    EXPECT_LT(temporal_score(v), base_score(v));
-    Vector nd = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H");
-    EXPECT_DOUBLE_EQ(temporal_score(nd), base_score(nd));
-}
-
-TEST(CvssScore, TemporalReference) {
-    // 9.8 base with E:F/RL:O/RC:C -> 9.1 (FIRST calculator).
-    Vector v = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/E:F/RL:O/RC:C");
-    EXPECT_DOUBLE_EQ(temporal_score(v), 9.1);
-}
-
-TEST(CvssScore, EnvironmentalEqualsTemporalWhenUnmodified) {
-    Vector v = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/E:F");
-    EXPECT_DOUBLE_EQ(environmental_score(v), temporal_score(v));
-}
-
-TEST(CvssScore, EnvironmentalRespondsToRequirements) {
-    Vector base = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N");
-    Vector high = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N/CR:H");
-    Vector low = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:N/A:N/CR:L");
-    EXPECT_GE(environmental_score(high), environmental_score(base));
-    EXPECT_LT(environmental_score(low), environmental_score(base));
-}
-
-TEST(CvssScore, EnvironmentalModifiedImpactNoneIsZero) {
-    Vector v = parse("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/MC:N/MI:N/MA:N");
-    EXPECT_DOUBLE_EQ(environmental_score(v), 0.0);
 }
 
 TEST(CvssScore, SubscoreRelationships) {

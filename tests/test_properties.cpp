@@ -15,6 +15,7 @@
 #include "model/dsl.hpp"
 #include "model/export.hpp"
 #include "search/association.hpp"
+#include "search/filters.hpp"
 #include "kb/serialize.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/model_gen.hpp"
@@ -119,7 +120,7 @@ TEST_P(SeededProperty, BfsReachabilitySubsetOfNodes) {
     Rng rng(GetParam() + 100);
     graph::PropertyGraph g = random_graph(rng, 20, 35);
     for (graph::NodeId n : g.nodes()) {
-        auto reach = graph::bfs_order(g, n);
+        auto reach = graph::reachable_from(g, {n});
         EXPECT_LE(reach.size(), g.node_count());
         ASSERT_FALSE(reach.empty());
         EXPECT_EQ(reach.front(), n);
@@ -216,10 +217,6 @@ TEST_P(SeededProperty, RandomCvss3VectorsScoreInRange) {
         double base = cvss::base_score(v);
         ASSERT_GE(base, 0.0) << vec;
         ASSERT_LE(base, 10.0) << vec;
-        ASSERT_LE(cvss::temporal_score(v), base + 1e-9) << vec;
-        double env = cvss::environmental_score(v);
-        ASSERT_GE(env, 0.0) << vec;
-        ASSERT_LE(env, 10.0) << vec;
         // Round trip through to_string preserves the score.
         ASSERT_DOUBLE_EQ(cvss::base_score(cvss::parse(cvss::to_string(v))), base) << vec;
     }

@@ -393,7 +393,7 @@ TEST(Association, FilterChainAppliedPerAttribute) {
     SearchEngine engine(corpus, relaxed());
     FilterChain chain;
     chain.add(by_class(VectorClass::Vulnerability));
-    AssociationMap map = associate(assoc_model(), engine, &chain);
+    AssociationMap map = chain.apply(associate(assoc_model(), engine));
     EXPECT_EQ(map.total(VectorClass::AttackPattern), 0u);
     EXPECT_EQ(map.total(VectorClass::Vulnerability), 2u);
 }

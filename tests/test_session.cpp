@@ -6,6 +6,10 @@
 #include <filesystem>
 
 #include "core/session.hpp"
+#include "dashboard/vector_graph.hpp"
+#include "graph/graphml.hpp"
+#include "model/export.hpp"
+#include "search/filters.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -21,10 +25,10 @@ const kb::Corpus& demo_corpus() {
 
 TEST(Session, CapabilityOneExportsArchitecture) {
     AnalysisSession s(synth::centrifuge_model(), demo_corpus());
-    graph::PropertyGraph g = s.architecture();
+    graph::PropertyGraph g = model::to_graph(s.model());
     EXPECT_EQ(g.node_count(), 6u);
     EXPECT_EQ(g.edge_count(), 10u); // 3 bidirectional + 4 one-way
-    std::string xml = s.architecture_graphml();
+    std::string xml = graph::to_graphml(g, s.model().name());
     EXPECT_NE(xml.find("<graphml"), std::string::npos);
     EXPECT_NE(xml.find("BPCS platform"), std::string::npos);
 }
@@ -123,14 +127,16 @@ TEST(Session, CommitInvalidatesDerivedViews) {
 }
 
 TEST(Session, FilterChainShrinksResultSpace) {
-    SessionOptions options;
-    options.filters.add(search::min_severity(cvss::Severity::Critical))
-        .top_k_per_class(10);
-    AnalysisSession filtered(synth::centrifuge_model(), demo_corpus(), std::move(options));
-    AnalysisSession unfiltered(synth::centrifuge_model(), demo_corpus());
-    EXPECT_LT(filtered.associations().total(), unfiltered.associations().total());
+    search::FilterChain chain;
+    chain.add(search::min_severity(cvss::Severity::Critical)).top_k_per_class(10);
+    AnalysisSession s(synth::centrifuge_model(), demo_corpus());
+    search::FilterChain::Report report;
+    search::AssociationMap filtered = chain.apply(s.associations(), &report);
+    EXPECT_LT(filtered.total(), s.associations().total());
+    EXPECT_EQ(report.input, s.associations().total());
+    EXPECT_EQ(report.output, filtered.total());
     // Top-10 per class per attribute: bounded per attribute.
-    for (const auto& ca : filtered.associations().components)
+    for (const auto& ca : filtered.components)
         for (const auto& aa : ca.attributes)
             EXPECT_LE(aa.count(search::VectorClass::Vulnerability), 10u);
 }
@@ -193,7 +199,8 @@ TEST(Session, HardeningCandidatesRanked) {
 
 TEST(Session, VectorGraphBuilds) {
     AnalysisSession s(synth::centrifuge_model(), demo_corpus());
-    graph::PropertyGraph g = s.vector_graph();
+    graph::PropertyGraph g =
+        dashboard::build_vector_graph(s.model(), s.associations(), s.corpus());
     auto stats = dashboard::vector_graph_stats(g);
     EXPECT_EQ(stats.components, 6u);
     EXPECT_GT(stats.association_edges, 0u);
@@ -242,23 +249,3 @@ TEST(Session, ReportIncludesScenarioAndHardeningSections) {
     EXPECT_EQ(r2.find_section("Hardening priorities"), nullptr);
 }
 
-TEST(Session, MissionImpactsAndAdvice) {
-    AnalysisSession s(synth::centrifuge_model(), demo_corpus());
-    EXPECT_FALSE(s.has_missions());
-    EXPECT_TRUE(s.mission_impacts().empty());
-    s.set_missions(analysis::centrifuge_missions());
-    auto impacts = s.mission_impacts();
-    ASSERT_EQ(impacts.size(), 3u);
-    // Every mission of the demo plant is threatened at implementation
-    // fidelity — every allocated component carries vectors.
-    for (const auto& impact : impacts) EXPECT_TRUE(impact.threatened());
-
-    // Rejects a mission model referencing unknown components.
-    model::MissionModel broken;
-    broken.add(model::Function{"F-1", "x", {"Ghost"}});
-    EXPECT_THROW(s.set_missions(std::move(broken)), cybok::ValidationError);
-
-    // Advice on the complete demo model is minimal (no structural gaps).
-    for (const auto& a : s.model_advice())
-        EXPECT_NE(a.kind, analysis::AdviceKind::MissingEntryPoint);
-}
