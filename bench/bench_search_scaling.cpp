@@ -1,10 +1,10 @@
 // Substrate scaling: index build time and query latency as the corpus
-// grows, the BM25-vs-TFIDF ranking ablation called out in DESIGN.md, the
-// flat-accumulator kernel vs the reference scorers, and the Block-Max
-// WAND top-k path over block-compressed postings. The kernel and build
-// benchmarks attach deterministic counters (postings_scanned,
-// blocks_decoded/skipped, resident postings bytes) that the CI
-// bench-regression gate checks against tools/bench_thresholds.json.
+// grows, the scoring kernel (text::query_segments) over one sealed index,
+// unpruned and on the Block-Max WAND top-k path over block-compressed
+// postings. The kernel and build benchmarks attach deterministic counters
+// (postings_scanned, blocks_decoded/skipped, resident postings bytes)
+// that the CI bench-regression gate checks against
+// tools/bench_thresholds.json.
 
 #include <cstdio>
 #include <map>
@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "search/association.hpp"
 #include "text/scratch.hpp"
+#include "text/segments.hpp"
 #include "text/tokenize.hpp"
 #include "util/fault.hpp"
 
@@ -31,7 +32,7 @@ const kb::Corpus& corpus_at_scale(int permille) {
 }
 
 /// CVE-description index per scale — the largest of the engine's three
-/// per-class indexes, for scorer-level kernel-vs-reference timings.
+/// per-class indexes, for kernel-level timings.
 const text::InvertedIndex& vuln_index_at_scale(int permille) {
     static std::map<int, text::InvertedIndex> cache;
     auto it = cache.find(permille);
@@ -106,25 +107,17 @@ void BM_QueryLatencyTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryLatencyTopK)->Arg(50)->Arg(1000);
 
-// Scorer-level A/B over the largest per-class index (CVE descriptions):
-// the reference hash-map accumulator vs the flat-accumulator kernel.
-void BM_Bm25Reference(benchmark::State& state) {
-    const text::InvertedIndex& index = vuln_index_at_scale(static_cast<int>(state.range(0)));
-    const text::Bm25Scorer scorer(index);
-    for (auto _ : state) {
-        auto hits = scorer.query(scorer_query());
-        benchmark::DoNotOptimize(hits);
-    }
-    state.counters["docs"] = static_cast<double>(index.doc_count());
-}
-BENCHMARK(BM_Bm25Reference)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
-
+// The kernel over the largest per-class index (CVE descriptions) as a
+// sealed one-segment view: canonical term resolution plus the unpruned
+// term-at-a-time pass.
 void BM_Bm25Kernel(benchmark::State& state) {
     const text::InvertedIndex& index = vuln_index_at_scale(static_cast<int>(state.range(0)));
     const text::Bm25Scorer scorer(index);
+    const std::vector<text::SegmentView> view{text::sealed_view(index, scorer)};
     text::QueryScratch& scratch = text::tls_query_scratch();
     for (auto _ : state) {
-        auto hits = scorer.query_kernel(scorer_query(), scratch);
+        auto hits = text::query_segments(view, index.doc_count(),
+                                         text::sealed_terms(index, scorer_query()), scratch, {});
         benchmark::DoNotOptimize(hits);
     }
 }
@@ -137,47 +130,27 @@ BENCHMARK(BM_Bm25Kernel)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 void BM_Bm25KernelTopK(benchmark::State& state) {
     const text::InvertedIndex& index = vuln_index_at_scale(static_cast<int>(state.range(0)));
     const text::Bm25Scorer scorer(index);
+    const std::vector<text::SegmentView> view{text::sealed_view(index, scorer)};
     text::QueryScratch& scratch = text::tls_query_scratch();
     text::KernelOptions opts;
     opts.top_k = 25;
-    text::KernelStats stats;
+    text::SegmentedStats stats;
     for (auto _ : state) {
         stats = {};
-        auto hits = scorer.query_kernel(scorer_query(), scratch, opts, &stats);
+        auto hits = text::query_segments(view, index.doc_count(),
+                                         text::sealed_terms(index, scorer_query()), scratch,
+                                         opts, &stats);
         benchmark::DoNotOptimize(hits);
     }
-    state.counters["postings_scanned"] = static_cast<double>(stats.postings_scanned);
-    state.counters["blocks_decoded"] = static_cast<double>(stats.blocks_decoded);
-    state.counters["blocks_skipped"] = static_cast<double>(stats.blocks_skipped);
+    state.counters["postings_scanned"] = static_cast<double>(stats.kernel.postings_scanned);
+    state.counters["blocks_decoded"] = static_cast<double>(stats.kernel.blocks_decoded);
+    state.counters["blocks_skipped"] = static_cast<double>(stats.kernel.blocks_skipped);
 }
 BENCHMARK(BM_Bm25KernelTopK)->Arg(50)->Arg(1000);
 
-void BM_TfidfReference(benchmark::State& state) {
-    const text::InvertedIndex& index = vuln_index_at_scale(static_cast<int>(state.range(0)));
-    const text::TfidfScorer scorer(index);
-    for (auto _ : state) {
-        auto hits = scorer.query(scorer_query());
-        benchmark::DoNotOptimize(hits);
-    }
-}
-BENCHMARK(BM_TfidfReference)->Arg(50)->Arg(1000);
-
-void BM_TfidfKernel(benchmark::State& state) {
-    const text::InvertedIndex& index = vuln_index_at_scale(static_cast<int>(state.range(0)));
-    const text::TfidfScorer scorer(index);
-    text::QueryScratch& scratch = text::tls_query_scratch();
-    for (auto _ : state) {
-        auto hits = scorer.query_kernel(scorer_query(), scratch);
-        benchmark::DoNotOptimize(hits);
-    }
-}
-BENCHMARK(BM_TfidfKernel)->Arg(50)->Arg(1000);
-
-// Ranker ablation at full scale.
+// Engine-level free-text query at full demo scale.
 void BM_RankerBm25(benchmark::State& state) {
-    search::EngineOptions opts;
-    opts.ranker = search::EngineOptions::Ranker::Bm25;
-    search::SearchEngine engine(cybok::bench::demo_corpus(), opts);
+    search::SearchEngine engine(cybok::bench::demo_corpus());
     for (auto _ : state) {
         auto hits = engine.query_text("linux kernel privilege escalation",
                                       search::VectorClass::Weakness);
@@ -185,18 +158,6 @@ void BM_RankerBm25(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RankerBm25);
-
-void BM_RankerTfidf(benchmark::State& state) {
-    search::EngineOptions opts;
-    opts.ranker = search::EngineOptions::Ranker::Tfidf;
-    search::SearchEngine engine(cybok::bench::demo_corpus(), opts);
-    for (auto _ : state) {
-        auto hits = engine.query_text("linux kernel privilege escalation",
-                                      search::VectorClass::Weakness);
-        benchmark::DoNotOptimize(hits);
-    }
-}
-BENCHMARK(BM_RankerTfidf);
 
 // Exact-CPE vs lexical vulnerability association (the second ablation).
 void BM_VulnViaPlatformBinding(benchmark::State& state) {

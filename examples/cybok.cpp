@@ -81,7 +81,7 @@ public:
     Args(int argc, char** argv, int first) {
         for (int i = first; i < argc; ++i) {
             std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) throw Error("unexpected argument: " + key);
+            if (key.rfind("--", 0) != 0) throw UsageError("unexpected argument: " + key);
             key = key.substr(2);
             // Both "--format json" and "--format=json" spellings work.
             if (std::size_t eq = key.find('='); eq != std::string::npos) {
@@ -100,7 +100,7 @@ public:
     }
     [[nodiscard]] std::string require(const std::string& key) const {
         auto it = values_.find(key);
-        if (it == values_.end()) throw Error("missing required option --" + key);
+        if (it == values_.end()) throw UsageError("missing required option --" + key);
         return it->second;
     }
     /// Numeric option `key` (see parse_number), or `fallback` when absent.
@@ -118,7 +118,8 @@ model::SystemModel demo_model(const std::string& name) {
     if (name == "centrifuge") return synth::centrifuge_model();
     if (name == "centrifuge-hardened") return synth::centrifuge_model_hardened();
     if (name == "uav") return synth::uav_model();
-    throw Error("unknown demo model: " + name + " (try centrifuge|centrifuge-hardened|uav)");
+    throw UsageError("unknown demo model: " + name +
+                     " (try centrifuge|centrifuge-hardened|uav)");
 }
 
 int cmd_generate(const Args& args) {
@@ -140,7 +141,7 @@ int cmd_model(const Args& args) {
     if (std::string zoo = args.get("zoo"); !zoo.empty()) {
         const std::optional<synth::ZooDomain> domain = synth::parse_zoo_domain(zoo);
         if (!domain)
-            throw Error("unknown --zoo domain: " + zoo + " (try uav|automotive|grid|water)");
+            throw UsageError("unknown --zoo domain: " + zoo + " (try uav|automotive|grid|water)");
         synth::ZooConfig config;
         config.domain = *domain;
         config.components = args.number<std::size_t>("components", 50);
@@ -162,8 +163,6 @@ int cmd_model(const Args& args) {
 
 int cmd_search(const Args& args) {
     const std::size_t limit = args.number<std::size_t>("limit", 10);
-    kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
-    search::SearchEngine engine(corpus);
     std::string cls_name = args.get("class", "");
     std::vector<search::VectorClass> classes;
     if (cls_name.empty()) {
@@ -172,8 +171,10 @@ int cmd_search(const Args& args) {
     } else if (cls_name == "pattern") classes = {search::VectorClass::AttackPattern};
     else if (cls_name == "weakness") classes = {search::VectorClass::Weakness};
     else if (cls_name == "vulnerability") classes = {search::VectorClass::Vulnerability};
-    else throw Error("unknown --class: " + cls_name);
+    else throw UsageError("unknown --class: " + cls_name);
 
+    kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
+    search::SearchEngine engine(corpus);
     for (search::VectorClass cls : classes) {
         auto hits = engine.query_text(args.require("query"), cls);
         std::printf("%s: %zu hits\n", std::string(vector_class_name(cls)).c_str(),
@@ -202,13 +203,6 @@ int cmd_associate(const Args& args) {
 int cmd_lint(const Args& args) {
     lint::LintOptions options;
     options.threads = args.number<std::size_t>("threads", 0);
-    kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
-    model::SystemModel m = model::load_dsl(args.require("model"));
-    std::optional<safety::HazardModel> hazards;
-    if (args.get("hazards") == "demo")
-        hazards = m.name().rfind("uav", 0) == 0 ? synth::uav_hazards()
-                                                : synth::centrifuge_hazards();
-
     const std::string disable = args.get("disable");
     for (std::string_view code : strings::split(disable, ',')) {
         code = strings::trim(code);
@@ -222,10 +216,17 @@ int cmd_lint(const Args& args) {
         std::optional<lint::Severity> sev;
         if (parts.size() == 2) sev = lint::severity_from_name(strings::trim(parts[1]));
         if (!sev.has_value())
-            throw Error("bad --severity entry: " + std::string(spec) +
-                        " (want CODE=note|warning|error)");
+            throw UsageError("bad --severity entry: " + std::string(spec) +
+                             " (want CODE=note|warning|error)");
         options.severity_overrides[std::string(strings::trim(parts[0]))] = *sev;
     }
+
+    kb::Corpus corpus = kb::load_corpus(args.require("corpus"));
+    model::SystemModel m = model::load_dsl(args.require("model"));
+    std::optional<safety::HazardModel> hazards;
+    if (args.get("hazards") == "demo")
+        hazards = m.name().rfind("uav", 0) == 0 ? synth::uav_hazards()
+                                                : synth::centrifuge_hazards();
 
     // --associate runs the association engine first and hands the map to
     // the lint pass, enabling the flow rules (F001-F003) and deepening the
@@ -324,13 +325,14 @@ int cmd_fleet(const Args& args) {
     options.components = args.number<std::size_t>("components", 50);
     options.threads = args.number<std::size_t>("threads", 0);
     options.top_paths = args.number<std::size_t>("top", 3);
-    for (std::string_view name : strings::split(args.get("domains"), ',')) {
+    const std::string domains = args.get("domains"); // split() returns views into it
+    for (std::string_view name : strings::split(domains, ',')) {
         name = strings::trim(name);
         if (name.empty()) continue;
         const std::optional<synth::ZooDomain> d = synth::parse_zoo_domain(name);
         if (!d)
-            throw Error("unknown --domains entry: " + std::string(name) +
-                        " (try uav|automotive|grid|water)");
+            throw UsageError("unknown --domains entry: " + std::string(name) +
+                             " (try uav|automotive|grid|water)");
         options.domains.push_back(*d);
     }
 
@@ -410,7 +412,7 @@ int cmd_client(const Args& args) {
     std::optional<serve::MsgType> type;
     for (const serve::MessageTypeInfo& info : serve::known_message_types())
         if (info.wire == wire) type = info.type;
-    if (!type.has_value()) throw Error("unknown --type: " + wire);
+    if (!type.has_value()) throw UsageError("unknown --type: " + wire);
 
     serve::Request req;
     req.type = *type;

@@ -74,8 +74,9 @@ private:
 /// Current snapshot format version. Bump on any layout change;
 /// open_snapshot rejects every other version (snapshots are rebuild-cheap
 /// caches, not archival data — no migration machinery). v1 was a single
-/// eagerly-decoded payload; v2 split out the aligned slab section.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// eagerly-decoded payload; v2 split out the aligned slab section; v3
+/// dropped the ranker tag and the TF-IDF tables (BM25 is the only ranker).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Fixed frame-header size (see the layout at the top of this file).
 /// Eager byte i sits at blob offset kSnapshotHeaderSize + i, which is how

@@ -63,9 +63,9 @@ QueryEngine::QueryEngine() noexcept {
 
 std::string EngineOptions::signature() const {
     // std::to_chars, not iostreams: this string keys the query cache, so
-    // it must not change spelling with the global locale.
-    std::string out = ranker == Ranker::Bm25 ? "bm25" : "tfidf";
-    out += "|idf=";
+    // it must not change spelling with the global locale. The leading tag
+    // names the ranking function.
+    std::string out = "bm25|idf=";
     fmt::append_number(out, min_evidence_idf);
     out += lexical_vulnerabilities ? "|lexvuln=1" : "|lexvuln=0";
     out += "|tw=";
@@ -165,15 +165,9 @@ SearchEngine::SearchEngine(const kb::Corpus& corpus, EngineOptions options,
             detail::index_record(vulnerability_index_, v, tw);
         vulnerability_index_.finalize();
 
-        if (options_.ranker == EngineOptions::Ranker::Bm25) {
-            pattern_bm25_.emplace(pattern_index_);
-            weakness_bm25_.emplace(weakness_index_);
-            vulnerability_bm25_.emplace(vulnerability_index_);
-        } else {
-            pattern_tfidf_.emplace(pattern_index_);
-            weakness_tfidf_.emplace(weakness_index_);
-            vulnerability_tfidf_.emplace(vulnerability_index_);
-        }
+        pattern_bm25_.emplace(pattern_index_);
+        weakness_bm25_.emplace(weakness_index_);
+        vulnerability_bm25_.emplace(vulnerability_index_);
     };
 
     if (threads <= 1) {
@@ -213,7 +207,8 @@ SearchEngine::SearchEngine(const kb::Corpus& corpus, EngineOptions options,
             const Clock::time_point idx_start = Clock::now();
             std::array<text::InvertedIndex*, 3> lane_index = {&pattern_index_, &weakness_index_,
                                                               &vulnerability_index_};
-            const bool bm25 = options_.ranker == EngineOptions::Ranker::Bm25;
+            std::array<std::optional<text::Bm25Scorer>*, 3> lane_bm25 = {
+                &pattern_bm25_, &weakness_bm25_, &vulnerability_bm25_};
             p.parallel_for(3, [&](std::size_t lane) {
                 text::InvertedIndex& index = *lane_index[lane];
                 const std::size_t begin = plan.lane_begin[lane];
@@ -223,20 +218,7 @@ SearchEngine::SearchEngine(const kb::Corpus& corpus, EngineOptions options,
                         index.add_terms(f.tokens, f.weight);
                 }
                 index.finalize();
-                switch (lane) {
-                    case 0:
-                        bm25 ? void(pattern_bm25_.emplace(index))
-                             : void(pattern_tfidf_.emplace(index));
-                        break;
-                    case 1:
-                        bm25 ? void(weakness_bm25_.emplace(index))
-                             : void(weakness_tfidf_.emplace(index));
-                        break;
-                    default:
-                        bm25 ? void(vulnerability_bm25_.emplace(index))
-                             : void(vulnerability_tfidf_.emplace(index));
-                        break;
-                }
+                lane_bm25[lane]->emplace(index);
             });
             build_metrics_.index_ns = ns_since(idx_start);
         } catch (const Error&) {
@@ -250,9 +232,6 @@ SearchEngine::SearchEngine(const kb::Corpus& corpus, EngineOptions options,
             pattern_bm25_.reset();
             weakness_bm25_.reset();
             vulnerability_bm25_.reset();
-            pattern_tfidf_.reset();
-            weakness_tfidf_.reset();
-            vulnerability_tfidf_.reset();
             build_metrics_.parallel_fallback = true;
             build_metrics_.tokenize_ns = 0;
             const Clock::time_point seq_start = Clock::now();
@@ -298,59 +277,48 @@ Match QueryEngine::make_match(VectorClass cls, std::size_t index) const {
     return m;
 }
 
-std::vector<Match> SearchEngine::run_lexical(const std::vector<std::string>& tokens,
-                                             VectorClass cls,
-                                             AssocMetrics* metrics) const {
-    const text::InvertedIndex* index = nullptr;
-    const text::Bm25Scorer* bm25 = nullptr;
-    const text::TfidfScorer* tfidf = nullptr;
-    switch (cls) {
-        case VectorClass::AttackPattern:
-            index = &pattern_index_;
-            bm25 = pattern_bm25_ ? &*pattern_bm25_ : nullptr;
-            tfidf = pattern_tfidf_ ? &*pattern_tfidf_ : nullptr;
-            break;
-        case VectorClass::Weakness:
-            index = &weakness_index_;
-            bm25 = weakness_bm25_ ? &*weakness_bm25_ : nullptr;
-            tfidf = weakness_tfidf_ ? &*weakness_tfidf_ : nullptr;
-            break;
-        case VectorClass::Vulnerability:
-            index = &vulnerability_index_;
-            bm25 = vulnerability_bm25_ ? &*vulnerability_bm25_ : nullptr;
-            tfidf = vulnerability_tfidf_ ? &*vulnerability_tfidf_ : nullptr;
-            break;
-    }
+QueryEngine::LexicalPlan SearchEngine::plan_lexical(const std::vector<std::string>& tokens,
+                                                    VectorClass cls) const {
+    const text::InvertedIndex& index = class_index(cls);
+    LexicalPlan plan;
+    plan.terms = text::sealed_terms(index, tokens);
+    plan.segments.push_back(text::sealed_view(index, class_bm25(cls)));
+    plan.ordinal_limit = index.doc_count();
+    return plan;
+}
 
+std::vector<Match> QueryEngine::run_lexical(const std::vector<std::string>& tokens,
+                                            VectorClass cls, AssocMetrics* metrics) const {
+    const LexicalPlan plan = plan_lexical(tokens, cls);
     // The evidence-IDF gate runs inside the kernel (KernelOptions), so the
-    // hits that come back are final: distinct sorted matched terms, no
-    // per-hit dedup or IDF recomputation here.
+    // hits that come back are final: distinct matched terms in canonical
+    // order, no per-hit dedup or IDF recomputation here.
+    const EngineOptions& opts = options();
     text::KernelOptions kopts;
-    kopts.top_k = options_.max_lexical_hits;
-    kopts.min_evidence_idf = options_.min_evidence_idf;
-    text::KernelStats kstats;
-    text::QueryScratch& scratch = text::tls_query_scratch();
-    const std::vector<text::Hit> hits =
-        bm25 != nullptr ? bm25->query_kernel(tokens, scratch, kopts, &kstats)
-                        : tfidf->query_kernel(tokens, scratch, kopts, &kstats);
+    kopts.top_k = opts.max_lexical_hits;
+    kopts.min_evidence_idf = opts.min_evidence_idf;
+    text::SegmentedStats sstats;
+    const std::vector<text::Hit> hits = text::query_segments(
+        plan.segments, plan.ordinal_limit, plan.terms, text::tls_query_scratch(), kopts, &sstats);
 
     std::vector<Match> out;
     out.reserve(hits.size());
     for (const text::Hit& h : hits) {
-        Match m = make_match(cls, h.doc);
+        Match m = make_match(cls, plan.positions == nullptr ? h.doc : plan.positions[h.doc]);
         m.score = h.score;
         m.via = MatchVia::Lexical;
         m.evidence.reserve(h.matched_terms.size());
-        for (text::TermId t : h.matched_terms) m.evidence.push_back(index->vocabulary().term(t));
+        for (text::TermId i : h.matched_terms) m.evidence.emplace_back(plan.terms[i].term);
         out.push_back(std::move(m));
     }
     if (metrics != nullptr) {
-        metrics->kernel_postings += kstats.postings_scanned;
-        metrics->kernel_pruned_docs += kstats.docs_pruned;
-        metrics->kernel_gated_hits += kstats.hits_gated;
-        metrics->kernel_fallbacks += kstats.fallback_queries;
-        metrics->kernel_blocks_decoded += kstats.blocks_decoded;
-        metrics->kernel_blocks_skipped += kstats.blocks_skipped;
+        metrics->kernel_postings += sstats.kernel.postings_scanned;
+        metrics->kernel_pruned_docs += sstats.kernel.docs_pruned;
+        metrics->kernel_gated_hits += sstats.kernel.hits_gated;
+        metrics->kernel_blocks_decoded += sstats.kernel.blocks_decoded;
+        metrics->kernel_blocks_skipped += sstats.kernel.blocks_skipped;
+        metrics->kernel_segments_visited += sstats.segments_visited;
+        metrics->kernel_tombstones_masked += sstats.tombstones_masked;
     }
     return out;
 }
@@ -457,7 +425,6 @@ void SearchEngine::freeze(util::ByteWriter& w, util::SlabWriter& slabs) const {
     // the session layer compares signatures before trusting a snapshot.
     // build_threads is deliberately absent — it shapes construction, not
     // the constructed engine.
-    w.u8(static_cast<std::uint8_t>(options_.ranker));
     w.f64(options_.min_evidence_idf);
     w.u8(options_.lexical_vulnerabilities ? 1 : 0);
     w.f32(options_.title_weight);
@@ -467,17 +434,9 @@ void SearchEngine::freeze(util::ByteWriter& w, util::SlabWriter& slabs) const {
     weakness_index_.freeze(w, slabs);
     vulnerability_index_.freeze(w, slabs);
 
-    // Only the active ranker's tables exist; the tag byte above tells
-    // thaw which three scorers to expect.
-    if (options_.ranker == EngineOptions::Ranker::Bm25) {
-        pattern_bm25_->freeze(w, slabs);
-        weakness_bm25_->freeze(w, slabs);
-        vulnerability_bm25_->freeze(w, slabs);
-    } else {
-        pattern_tfidf_->freeze(w, slabs);
-        weakness_tfidf_->freeze(w, slabs);
-        vulnerability_tfidf_->freeze(w, slabs);
-    }
+    pattern_bm25_->freeze(w, slabs);
+    weakness_bm25_->freeze(w, slabs);
+    vulnerability_bm25_->freeze(w, slabs);
 }
 
 SearchEngine::SearchEngine(ThawTag, const kb::Corpus& corpus, util::ByteReader& r,
@@ -485,9 +444,6 @@ SearchEngine::SearchEngine(ThawTag, const kb::Corpus& corpus, util::ByteReader& 
     : corpus_(corpus) {
     const Clock::time_point start = Clock::now();
 
-    const std::uint8_t ranker = r.u8();
-    if (ranker > 1) throw ValidationError("engine snapshot: unknown ranker tag");
-    options_.ranker = static_cast<EngineOptions::Ranker>(ranker);
     options_.min_evidence_idf = r.f64();
     options_.lexical_vulnerabilities = r.u8() != 0;
     options_.title_weight = r.f32();
@@ -501,15 +457,9 @@ SearchEngine::SearchEngine(ThawTag, const kb::Corpus& corpus, util::ByteReader& 
         vulnerability_index_.doc_count() != corpus.vulnerabilities().size())
         throw ValidationError("engine snapshot does not match corpus shape");
 
-    if (options_.ranker == EngineOptions::Ranker::Bm25) {
-        pattern_bm25_.emplace(text::Bm25Scorer::thaw(pattern_index_, r, slabs));
-        weakness_bm25_.emplace(text::Bm25Scorer::thaw(weakness_index_, r, slabs));
-        vulnerability_bm25_.emplace(text::Bm25Scorer::thaw(vulnerability_index_, r, slabs));
-    } else {
-        pattern_tfidf_.emplace(text::TfidfScorer::thaw(pattern_index_, r, slabs));
-        weakness_tfidf_.emplace(text::TfidfScorer::thaw(weakness_index_, r, slabs));
-        vulnerability_tfidf_.emplace(text::TfidfScorer::thaw(vulnerability_index_, r, slabs));
-    }
+    pattern_bm25_.emplace(text::Bm25Scorer::thaw(pattern_index_, r, slabs));
+    weakness_bm25_.emplace(text::Bm25Scorer::thaw(weakness_index_, r, slabs));
+    vulnerability_bm25_.emplace(text::Bm25Scorer::thaw(vulnerability_index_, r, slabs));
 
     build_metrics_.from_snapshot = true;
     build_metrics_.docs = corpus.patterns().size() + corpus.weaknesses().size() +

@@ -5,9 +5,9 @@
 // Association uses two mechanisms, mirroring the prototype's behavior:
 //
 //  * lexical matching: attribute text is analyzed (tokenize, stopwords,
-//    stem) and ranked against record text with BM25 (or TF-IDF, kept as an
-//    ablation). High-level descriptors therefore land on attack patterns
-//    and weaknesses, whose texts are technique-level prose.
+//    stem) and ranked against record text with BM25. High-level
+//    descriptors therefore land on attack patterns and weaknesses, whose
+//    texts are technique-level prose.
 //  * platform binding: PlatformRef attributes resolve to CPE-style names
 //    and match vulnerabilities through exact product binding — the
 //    low-level end of the paper's fidelity spectrum.
@@ -29,6 +29,7 @@
 #include "model/system_model.hpp"
 #include "search/metrics.hpp"
 #include "text/index.hpp"
+#include "text/segments.hpp"
 #include "util/bytes.hpp"
 #include "util/mmap.hpp"
 #include "util/thread_pool.hpp"
@@ -53,7 +54,7 @@ struct Match {
     std::size_t corpus_index = 0; ///< index into the corpus vector for `cls`
     std::string id;               ///< "CAPEC-88", "CWE-78", "CVE-2019-10953"
     std::string title;            ///< record name / description head
-    double score = 0.0;           ///< ranking score (BM25/TF-IDF; 0 for bindings)
+    double score = 0.0;           ///< ranking score (BM25; 0 for bindings)
     MatchVia via = MatchVia::Lexical;
     std::vector<std::string> evidence; ///< matched (stemmed) terms or CPE URI
     /// CVSS base score for vulnerabilities with a vector; -1 when absent.
@@ -62,8 +63,6 @@ struct Match {
 
 /// Engine configuration.
 struct EngineOptions {
-    enum class Ranker : std::uint8_t { Bm25, Tfidf };
-    Ranker ranker = Ranker::Bm25;
     /// A lexical match is kept only if the summed IDF of its distinct
     /// matched terms reaches this threshold — this suppresses matches made
     /// purely of ubiquitous words, the paper's "unspecific properties
@@ -75,9 +74,9 @@ struct EngineOptions {
     /// Weight multiplier for record titles/names relative to body text.
     float title_weight = 3.0f;
     /// Keep only the best k lexical hits per class query (0 = unlimited).
-    /// Applied after the evidence gate; under BM25 it also arms the
-    /// kernel's max-score pruning, which skips documents that provably
-    /// cannot reach the top k — the surviving hits are exact.
+    /// Applied after the evidence gate; it also arms the kernel's
+    /// Block-Max WAND pruning, which skips documents that provably cannot
+    /// reach the top k — the surviving hits are exact.
     std::size_t max_lexical_hits = 0;
     /// Lanes for engine *construction*: record text is analyzed in shards
     /// on a util::ThreadPool and the three class indexes are built and
@@ -99,9 +98,11 @@ struct EngineOptions {
 /// thing — for the same corpus content, bit-identical results.
 ///
 /// The composite queries (attribute fan-out, platform binding, weakness
-/// expansion, explain) are implemented here once over three small hooks
-/// (run_lexical + the per-class document statistics), so the two engines
-/// cannot drift in dedup, metrics accounting, or evidence semantics.
+/// expansion, explain) and the lexical path itself (one scoring kernel,
+/// text::query_segments; hit-to-Match materialization; kernel counters)
+/// are implemented here once over small hooks — plan_lexical plus the
+/// per-class document statistics — so the two engines cannot drift in
+/// scoring, dedup, metrics accounting, or evidence semantics.
 ///
 /// Thread-safety contract: construction/apply is the only mutating
 /// operation; once built, every member function is const and any number
@@ -176,12 +177,23 @@ public:
     [[nodiscard]] std::string explain(const model::Attribute& attr, const Match& match) const;
 
 protected:
-    /// The lexical hot path each engine supplies: resolve tokens, run the
-    /// scoring kernel, materialize Matches with evidence strings and
-    /// kernel counters.
-    [[nodiscard]] virtual std::vector<Match> run_lexical(const std::vector<std::string>& tokens,
-                                                         VectorClass cls,
-                                                         AssocMetrics* metrics) const = 0;
+    /// What an engine hands the shared lexical path for one class query.
+    struct LexicalPlan {
+        /// The canonical query terms: distinct, ascending term-string
+        /// order, each with the IDF it is scored with.
+        std::vector<text::SegmentedTerm> terms;
+        /// The segments to score them over.
+        std::vector<text::SegmentView> segments;
+        /// Bound of the ordinal space the segments map documents into.
+        std::size_t ordinal_limit = 0;
+        /// Ordinal -> corpus position of the record; null = identity.
+        const std::uint32_t* positions = nullptr;
+    };
+    /// The one hook of the lexical hot path each engine supplies: resolve
+    /// `tokens` into canonical terms against `cls` and describe its
+    /// segments. Views and term strings must outlive the query.
+    [[nodiscard]] virtual LexicalPlan plan_lexical(const std::vector<std::string>& tokens,
+                                                   VectorClass cls) const = 0;
     /// Documents of `cls` containing `term` (merged view for segmented
     /// engines) — the explain() statistics hook.
     [[nodiscard]] virtual std::size_t class_doc_frequency(VectorClass cls,
@@ -209,6 +221,13 @@ protected:
     [[nodiscard]] Match make_match(VectorClass cls, std::size_t index) const;
 
 private:
+    /// The lexical hot path: plan_lexical, the scoring kernel (per-thread
+    /// scratch arena, fused evidence-IDF gate, top-k/pruning per
+    /// options()), and Matches with evidence strings. Kernel counters land
+    /// in `metrics` when non-null.
+    [[nodiscard]] std::vector<Match> run_lexical(const std::vector<std::string>& tokens,
+                                                 VectorClass cls, AssocMetrics* metrics) const;
+
     std::uint64_t generation_;
 };
 
@@ -257,19 +276,19 @@ public:
             default: return vulnerability_index_;
         }
     }
-    /// One class's BM25 scorer (null under the TF-IDF ranker). The
-    /// segmented engine borrows these as base-segment bound tables.
-    [[nodiscard]] const text::Bm25Scorer* class_bm25(VectorClass cls) const noexcept {
+    /// One class's BM25 scorer. The segmented engine borrows these as
+    /// base-segment bound tables.
+    [[nodiscard]] const text::Bm25Scorer& class_bm25(VectorClass cls) const noexcept {
         switch (cls) {
-            case VectorClass::AttackPattern: return pattern_bm25_ ? &*pattern_bm25_ : nullptr;
-            case VectorClass::Weakness: return weakness_bm25_ ? &*weakness_bm25_ : nullptr;
-            default: return vulnerability_bm25_ ? &*vulnerability_bm25_ : nullptr;
+            case VectorClass::AttackPattern: return *pattern_bm25_;
+            case VectorClass::Weakness: return *weakness_bm25_;
+            default: return *vulnerability_bm25_;
         }
     }
 
     /// Serialize the fully built engine — options and counts into `w`,
-    /// the three finalized indexes and the active ranker's precomputed
-    /// tables as 64-byte-aligned slabs in `slabs`. Thawing the bytes
+    /// the three finalized indexes and their BM25 tables as
+    /// 64-byte-aligned slabs in `slabs`. Thawing the bytes
     /// yields a bit-identical engine without touching the token pipeline
     /// (see kb/snapshot.hpp for the blob framing).
     void freeze(util::ByteWriter& w, util::SlabWriter& slabs) const;
@@ -287,13 +306,10 @@ public:
                                                             const util::SlabView& slabs);
 
 protected:
-    /// The lexical hot path: resolves tokens once, runs the flat-accumulator
-    /// scoring kernel (per-thread scratch arena, fused evidence-IDF gate,
-    /// optional top-k/pruning per options_), and materializes Matches with
-    /// evidence strings. Kernel counters land in `metrics` when non-null.
-    [[nodiscard]] std::vector<Match> run_lexical(const std::vector<std::string>& tokens,
-                                                 VectorClass cls,
-                                                 AssocMetrics* metrics) const override;
+    /// One sealed segment per class: the class index as an identity view
+    /// under its own BM25 statistics (text::sealed_view).
+    [[nodiscard]] LexicalPlan plan_lexical(const std::vector<std::string>& tokens,
+                                           VectorClass cls) const override;
     [[nodiscard]] std::size_t class_doc_frequency(VectorClass cls,
                                                   std::string_view term) const override {
         return class_index(cls).doc_frequency(term);
@@ -312,12 +328,11 @@ private:
     text::InvertedIndex pattern_index_;
     text::InvertedIndex weakness_index_;
     text::InvertedIndex vulnerability_index_;
+    // Engaged once construction or thaw completes (optional only because
+    // a scorer is built after, and reset with, the index it reads).
     std::optional<text::Bm25Scorer> pattern_bm25_;
     std::optional<text::Bm25Scorer> weakness_bm25_;
     std::optional<text::Bm25Scorer> vulnerability_bm25_;
-    std::optional<text::TfidfScorer> pattern_tfidf_;
-    std::optional<text::TfidfScorer> weakness_tfidf_;
-    std::optional<text::TfidfScorer> vulnerability_tfidf_;
     BuildMetrics build_metrics_;
 };
 

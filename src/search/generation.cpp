@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "search/indexing.hpp"
-#include "text/scratch.hpp"
 #include "util/fault.hpp"
 
 namespace cybok::search {
@@ -175,10 +174,6 @@ SegmentedEngine::SegmentedEngine(const SearchEngine& base, const SegmentedEngine
     : base_(&base) {
     const Clock::time_point start = Clock::now();
     options_ = base.options();
-    if (options_.ranker != EngineOptions::Ranker::Bm25)
-        throw ValidationError(
-            "segmented indexing requires the BM25 ranker; the TF-IDF ablation has no "
-            "merged-statistics decomposition — rebuild the engine instead");
     // Crash-consistency fault sites: an apply that dies here (or anywhere
     // in this constructor) publishes nothing — the previous generation
     // stays authoritative and keeps serving. kb.delta.apply models a
@@ -255,9 +250,7 @@ SegmentedEngine::SegmentedEngine(const SearchEngine& base, const SegmentedEngine
                     [&](kb::VulnerabilityId id) { return lookup_vulnerability(id).has_value(); },
                     "vulnerability");
 
-    const text::Bm25Scorer* base_bm25 = base.class_bm25(VectorClass::AttackPattern);
-    const text::Bm25Scorer::Params params =
-        base_bm25 != nullptr ? base_bm25->params() : text::Bm25Scorer::Params{};
+    const text::Bm25Scorer::Params params = base.class_bm25(VectorClass::AttackPattern).params();
 
     auto segment = std::make_shared<DeltaSegment>();
     const auto segment_id = static_cast<std::uint32_t>(deltas_.size() + 1);
@@ -307,9 +300,6 @@ void SegmentedEngine::rebuild_derived_tables(VectorClass cls) {
     const std::size_t base_docs = base_index.doc_count();
     const std::size_t n_segs = deltas_.size() + 1;
 
-    st.base_ordinals.resize(base_docs);
-    std::iota(st.base_ordinals.begin(), st.base_ordinals.end(), 0u);
-
     // Merged positions and the merged mean length, both walked in
     // ascending live-ordinal order == merged record order. The average is
     // summed exactly the way InvertedIndex::finalize sums it on a
@@ -346,9 +336,7 @@ void SegmentedEngine::rebuild_derived_tables(VectorClass cls) {
                                                       st.owner[cs.ordinals[d]] == s);
     }
 
-    const text::Bm25Scorer* base_bm25 = base_->class_bm25(cls);
-    const text::Bm25Scorer::Params params =
-        base_bm25 != nullptr ? base_bm25->params() : text::Bm25Scorer::Params{};
+    const text::Bm25Scorer::Params params = base_->class_bm25(cls).params();
     const double n_live = static_cast<double>(st.live_docs);
     st.norms.assign(n_segs, {});
     st.scales.assign(n_segs, {});
@@ -451,9 +439,10 @@ text::IndexStats SegmentedEngine::index_stats() const noexcept {
     return s;
 }
 
-std::vector<Match> SegmentedEngine::run_lexical(const std::vector<std::string>& tokens,
-                                                VectorClass cls, AssocMetrics* metrics) const {
+QueryEngine::LexicalPlan SegmentedEngine::plan_lexical(const std::vector<std::string>& tokens,
+                                                       VectorClass cls) const {
     const ClassState& st = state(cls);
+    LexicalPlan plan;
 
     // Distinct query terms with live merged df, in ascending term-string
     // order — exactly the term set and order a from-scratch merged index
@@ -464,57 +453,33 @@ std::vector<Match> SegmentedEngine::run_lexical(const std::vector<std::string>& 
         if (merged_df(cls, tok) > 0) distinct.push_back(tok);
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-
     const double n_live = static_cast<double>(st.live_docs);
-    std::vector<text::SegmentedTerm> terms;
-    terms.reserve(distinct.size());
+    plan.terms.reserve(distinct.size());
     for (std::string_view term : distinct) {
         const double df = static_cast<double>(merged_df(cls, term));
-        terms.push_back({term, text::rsj_idf(n_live, df)});
+        plan.terms.push_back({term, text::rsj_idf(n_live, df)});
     }
 
-    std::vector<text::SegmentView> views;
-    views.reserve(deltas_.size() + 1);
+    plan.segments.reserve(deltas_.size() + 1);
     const text::InvertedIndex& base_index = base_->class_index(cls);
-    if (base_index.doc_count() > 0)
-        views.push_back({&base_index, base_->class_bm25(cls), st.norms[0].data(),
-                         st.base_ordinals.data(), st.live[0].data(), st.scales[0].data(),
-                         base_index.doc_count()});
+    if (base_index.doc_count() > 0) {
+        // Base ordinals are base positions: an identity segment (null
+        // ordinals) that still carries a live mask and merged statistics.
+        text::SegmentView base_view = text::sealed_view(base_index, base_->class_bm25(cls));
+        base_view.norms = st.norms[0].data();
+        base_view.live = st.live[0].data();
+        base_view.bound_scale = st.scales[0].data();
+        plan.segments.push_back(base_view);
+    }
     for (std::size_t s = 1; s <= deltas_.size(); ++s) {
         const ClassDeltaSegment& cs = class_segment(s, cls);
         if (cs.index.doc_count() == 0) continue;
-        views.push_back({&cs.index, &*cs.scorer, st.norms[s].data(), cs.ordinals.data(),
-                         st.live[s].data(), st.scales[s].data(), cs.index.doc_count()});
+        plan.segments.push_back({&cs.index, &*cs.scorer, st.norms[s].data(), cs.ordinals.data(),
+                                 st.live[s].data(), st.scales[s].data(), cs.index.doc_count()});
     }
-
-    text::KernelOptions kopts;
-    kopts.top_k = options_.max_lexical_hits;
-    kopts.min_evidence_idf = options_.min_evidence_idf;
-    text::SegmentedStats sstats;
-    const std::vector<text::Hit> hits = text::query_segments(
-        views, st.next_ordinal, terms, text::tls_query_scratch(), kopts, &sstats);
-
-    std::vector<Match> out;
-    out.reserve(hits.size());
-    for (const text::Hit& h : hits) {
-        Match m = make_match(cls, st.merged_pos[h.doc]);
-        m.score = h.score;
-        m.via = MatchVia::Lexical;
-        m.evidence.reserve(h.matched_terms.size());
-        for (text::TermId idx : h.matched_terms) m.evidence.emplace_back(terms[idx].term);
-        out.push_back(std::move(m));
-    }
-    if (metrics != nullptr) {
-        metrics->kernel_postings += sstats.kernel.postings_scanned;
-        metrics->kernel_pruned_docs += sstats.kernel.docs_pruned;
-        metrics->kernel_gated_hits += sstats.kernel.hits_gated;
-        metrics->kernel_fallbacks += sstats.kernel.fallback_queries;
-        metrics->kernel_blocks_decoded += sstats.kernel.blocks_decoded;
-        metrics->kernel_blocks_skipped += sstats.kernel.blocks_skipped;
-        metrics->kernel_segments_visited += sstats.segments_visited;
-        metrics->kernel_tombstones_masked += sstats.tombstones_masked;
-    }
-    return out;
+    plan.ordinal_limit = st.next_ordinal;
+    plan.positions = st.merged_pos.data();
+    return plan;
 }
 
 } // namespace cybok::search

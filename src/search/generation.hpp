@@ -33,11 +33,6 @@
 // oracle over base + N deltas, pre- and post-compaction, across the soak
 // seed matrix. Compaction *is* the from-scratch rebuild (core::compact),
 // which makes its correctness argument trivial.
-//
-// Ranker: BM25 only. The TF-IDF ablation scorer has no merged-statistics
-// decomposition (its cosine norm couples every term weight to global df),
-// so applying a delta under EngineOptions::Ranker::Tfidf throws
-// ValidationError — callers fall back to a full rebuild.
 
 #pragma once
 
@@ -131,9 +126,10 @@ public:
     }
 
 protected:
-    [[nodiscard]] std::vector<Match> run_lexical(const std::vector<std::string>& tokens,
-                                                 VectorClass cls,
-                                                 AssocMetrics* metrics) const override;
+    /// The base segment (identity ordinals) and every delta segment, under
+    /// merged statistics, with the merged-position map.
+    [[nodiscard]] LexicalPlan plan_lexical(const std::vector<std::string>& tokens,
+                                           VectorClass cls) const override;
     [[nodiscard]] std::size_t class_doc_frequency(VectorClass cls,
                                                   std::string_view term) const override;
     [[nodiscard]] std::size_t class_doc_count(VectorClass cls) const noexcept override {
@@ -171,7 +167,6 @@ private:
         // -- derived, rebuilt per apply. Segment s: 0 = base, 1.. = deltas_.
         double merged_avg = 0.0; ///< mean weighted doc length over live docs
         std::vector<std::uint32_t> merged_pos;   ///< ordinal -> merged corpus index (dead: ~0u)
-        std::vector<std::uint32_t> base_ordinals; ///< identity map for the base segment
         /// merged corpus index -> (owning segment, local doc): the record
         /// accessors (make_match) resolve hits through this.
         std::vector<std::pair<std::uint32_t, std::uint32_t>> rec_of;

@@ -90,7 +90,6 @@ void AssocMetrics::merge(const AssocMetrics& other) {
     kernel_postings += other.kernel_postings;
     kernel_pruned_docs += other.kernel_pruned_docs;
     kernel_gated_hits += other.kernel_gated_hits;
-    kernel_fallbacks += other.kernel_fallbacks;
     kernel_blocks_decoded += other.kernel_blocks_decoded;
     kernel_blocks_skipped += other.kernel_blocks_skipped;
     kernel_segments_visited += other.kernel_segments_visited;
@@ -138,7 +137,6 @@ std::string AssocMetrics::summary() const {
         << kernel_blocks_decoded << " blocks decoded / " << kernel_blocks_skipped
         << " blocks skipped / " << kernel_pruned_docs << " pruned / " << kernel_gated_hits
         << " gated";
-    if (kernel_fallbacks > 0) out << " / " << kernel_fallbacks << " fallbacks";
     if (kernel_segments_visited > 0)
         out << " / " << kernel_segments_visited << " segments / " << kernel_tombstones_masked
             << " tombstoned";
@@ -186,7 +184,6 @@ json::Value AssocMetrics::to_json() const {
     k["postings_scanned"] = kernel_postings;
     k["pruned_docs"] = kernel_pruned_docs;
     k["gated_hits"] = kernel_gated_hits;
-    k["fallback_queries"] = kernel_fallbacks;
     k["blocks_decoded"] = kernel_blocks_decoded;
     k["blocks_skipped"] = kernel_blocks_skipped;
     k["segments_visited"] = kernel_segments_visited;

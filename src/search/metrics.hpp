@@ -21,7 +21,7 @@ namespace cybok::search {
 /// so `lexical_ns` can exceed `wall_ns`.
 struct StageTimings {
     std::uint64_t analyze_ns = 0; ///< tokenize + stopwords + stem of attribute text
-    std::uint64_t lexical_ns = 0; ///< BM25/TF-IDF ranking + evidence gating
+    std::uint64_t lexical_ns = 0; ///< BM25 ranking + evidence gating
     std::uint64_t binding_ns = 0; ///< CPE platform-binding lookups
     std::uint64_t wall_ns = 0;    ///< end-to-end wall clock of the run
 
@@ -136,7 +136,6 @@ struct AssocMetrics {
     std::uint64_t kernel_postings = 0;    ///< postings actually decoded by the scoring kernel
     std::uint64_t kernel_pruned_docs = 0; ///< pivot docs proven below the top-k floor (BMW)
     std::uint64_t kernel_gated_hits = 0;  ///< candidates dropped by the fused evidence gate
-    std::uint64_t kernel_fallbacks = 0;   ///< queries routed to the reference scorer (>64 terms)
     std::uint64_t kernel_blocks_decoded = 0; ///< posting blocks decompressed
     std::uint64_t kernel_blocks_skipped = 0; ///< posting blocks skipped via block-max bounds
     std::uint64_t kernel_segments_visited = 0;  ///< segments holding >=1 query-term list

@@ -1,12 +1,7 @@
 #include "text/index.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <functional>
-#include <limits>
-
-#include "text/kernel_util.hpp"
 
 namespace cybok::text {
 
@@ -180,78 +175,12 @@ InvertedIndex InvertedIndex::thaw(util::ByteReader& r, const util::SlabView& sla
     return index;
 }
 
-// ---------------------------------------------------------------- kernel
-
-namespace {
-
-/// Resolve tokens to distinct TermIds with query-term frequencies, into
-/// the scratch arena, in ascending term-*string* order. The order is the
-/// canonical accumulation order: reference scorers, both kernels, and the
-/// multi-segment path (text/segments.hpp) all add per-document
-/// contributions in it, which is what makes their sums bitwise identical.
-/// Term strings — not TermIds — because ids depend on corpus interning
-/// order, while the string order is corpus-independent: an engine built
-/// from scratch over a merged corpus and a segmented engine over
-/// base + deltas agree on it, so their floating-point sums agree too.
-void collect_query_terms(const InvertedIndex& index, const std::vector<std::string>& tokens,
-                         QueryScratch& s) {
-    for (const std::string& tok : tokens) {
-        TermId t = index.vocabulary().lookup(tok);
-        if (t != kNoTerm) s.terms.push_back(t);
-    }
-    const Vocabulary& vocab = index.vocabulary();
-    std::sort(s.terms.begin(), s.terms.end(),
-              [&vocab](TermId a, TermId b) { return vocab.term(a) < vocab.term(b); });
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < s.terms.size();) {
-        std::size_t j = i;
-        while (j < s.terms.size() && s.terms[j] == s.terms[i]) ++j;
-        s.terms[out++] = s.terms[i];
-        s.query_tf.push_back(static_cast<double>(j - i));
-        i = j;
-    }
-    s.terms.resize(out);
-}
-
-using detail::collect_hits;
-
-/// Fallback for queries with more than 64 distinct terms (the per-doc
-/// matched-term bitset is a single word): run the reference scorer, then
-/// apply the same gate / dedup / top-k semantics the kernel fuses in.
-std::vector<Hit> apply_kernel_semantics(std::vector<Hit> hits, const InvertedIndex& index,
-                                        const KernelOptions& opts, KernelStats* stats) {
-    if (stats != nullptr) ++stats->fallback_queries;
-    std::vector<Hit> out;
-    out.reserve(hits.size());
-    const Vocabulary& vocab = index.vocabulary();
-    for (Hit& h : hits) {
-        // Canonical ascending-string order (see collect_query_terms).
-        std::sort(h.matched_terms.begin(), h.matched_terms.end(),
-                  [&vocab](TermId a, TermId b) { return vocab.term(a) < vocab.term(b); });
-        h.matched_terms.erase(std::unique(h.matched_terms.begin(), h.matched_terms.end()),
-                              h.matched_terms.end());
-        double evidence = 0.0;
-        for (TermId t : h.matched_terms) evidence += index.idf(t);
-        if (evidence < opts.min_evidence_idf) {
-            if (stats != nullptr) ++stats->hits_gated;
-            continue;
-        }
-        out.push_back(std::move(h));
-    }
-    // Reference hits are already (score desc, doc asc)-sorted.
-    if (opts.top_k > 0 && out.size() > opts.top_k) out.resize(opts.top_k);
-    return out;
-}
-
-} // namespace
-
 // ----------------------------------------------------------------- BM25
 
-Bm25Scorer::Bm25Scorer(const InvertedIndex& index, Params params)
-    : index_(index), params_(params) {
+Bm25Scorer::Bm25Scorer(const InvertedIndex& index, Params params) : params_(params) {
     if (!index.finalized()) throw ValidationError("BM25 requires a finalized index");
     // Per-doc length norms plus per-term and per-block max impact scores,
-    // precomputed once so query_kernel's inner loop is a multiply-add over
+    // precomputed once so the kernel's inner loop is a multiply-add over
     // flat arrays and Block-Max WAND can bound whole blocks.
     const double avg = std::max(index.avg_doc_length(), 1e-9);
     std::vector<double> norms(index.doc_count());
@@ -284,8 +213,7 @@ Bm25Scorer::Bm25Scorer(const InvertedIndex& index, Params params)
 }
 
 Bm25Scorer::Bm25Scorer(ThawTag, const InvertedIndex& index, util::ByteReader& r,
-                       const util::SlabView& slabs)
-    : index_(index) {
+                       const util::SlabView& slabs) {
     params_.k1 = r.f64();
     params_.b = r.f64();
     norms_ = util::F64Table::view(slabs.slice(util::read_slab_ref(r)));
@@ -307,413 +235,6 @@ void Bm25Scorer::freeze(util::ByteWriter& w, util::SlabWriter& slabs) const {
 Bm25Scorer Bm25Scorer::thaw(const InvertedIndex& index, util::ByteReader& r,
                             const util::SlabView& slabs) {
     return Bm25Scorer(ThawTag{}, index, r, slabs);
-}
-
-double Bm25Scorer::idf(std::string_view term) const noexcept {
-    TermId t = index_.vocabulary().lookup(term);
-    if (t == kNoTerm) return rsj_idf(static_cast<double>(index_.doc_count()), 0.0);
-    return index_.idf(t);
-}
-
-std::vector<Hit> Bm25Scorer::query(const std::vector<std::string>& tokens) const {
-    // Deduplicate query terms; repeated query terms in short attribute
-    // strings should not double-count. Iterated in the canonical ascending
-    // term-string order so per-document sums are bit-identical to the
-    // kernel (see collect_query_terms).
-    std::vector<TermId> terms;
-    for (const std::string& tok : tokens) {
-        TermId t = index_.vocab_.lookup(tok);
-        if (t != kNoTerm) terms.push_back(t);
-    }
-    std::sort(terms.begin(), terms.end(), [this](TermId a, TermId b) {
-        return index_.vocab_.term(a) < index_.vocab_.term(b);
-    });
-    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-    std::unordered_map<DocId, Hit> acc;
-    for (TermId t : terms) {
-        const double idf_t = index_.idf(t);
-        for_each_posting(index_.list(t), [&](DocId d, float w) {
-            const double tf = w;
-            const double contrib = idf_t * (tf * (params_.k1 + 1.0)) / (tf + norms_[d]);
-            Hit& h = acc.try_emplace(d, Hit{d, 0.0, {}}).first->second;
-            h.score += contrib;
-            h.matched_terms.push_back(t);
-        });
-    }
-    std::vector<Hit> hits;
-    hits.reserve(acc.size());
-    for (auto& [_, h] : acc) hits.push_back(std::move(h));
-    std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-        if (a.score != b.score) return a.score > b.score;
-        return a.doc < b.doc;
-    });
-    return hits;
-}
-
-std::vector<Hit> Bm25Scorer::query_kernel(const std::vector<std::string>& tokens,
-                                          QueryScratch& scratch, const KernelOptions& opts,
-                                          KernelStats* stats) const {
-    scratch.begin(index_.doc_count());
-    collect_query_terms(index_, tokens, scratch);
-    const auto& terms = scratch.terms;
-    if (terms.empty()) return {};
-    if (terms.size() > 64) return apply_kernel_semantics(query(tokens), index_, opts, stats);
-    if (opts.prune && opts.top_k > 0) return query_kernel_bmw(scratch, opts, stats);
-
-    // Unpruned path: term-at-a-time over every block, in the reference
-    // accumulation order (ascending term, ascending doc) — bit-identical
-    // sums by construction.
-    const double k1 = params_.k1;
-    PostingStats pstats;
-    std::uint32_t docs[kBlockDocs];
-    float weights[kBlockDocs];
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-        const TermId t = terms[i];
-        const double idf_t = index_.idf(t);
-        const std::uint64_t bit = std::uint64_t{1} << i;
-        const ListView lv = index_.list(t);
-        for (std::uint32_t b = 0; b < lv.n_blocks; ++b) {
-            const std::size_t n = decode_block(lv, b, docs, weights, &pstats);
-            for (std::size_t j = 0; j < n; ++j) {
-                const DocId d = docs[j];
-                const double tf = weights[j];
-                const double contrib = idf_t * (tf * (k1 + 1.0)) / (tf + norms_[d]);
-                if (scratch.stamp[d] == scratch.epoch) {
-                    scratch.score[d] += contrib;
-                    scratch.evidence_idf[d] += idf_t;
-                    scratch.term_bits[d] |= bit;
-                } else {
-                    scratch.stamp[d] = scratch.epoch;
-                    scratch.score[d] = contrib;
-                    scratch.evidence_idf[d] = idf_t;
-                    scratch.term_bits[d] = bit;
-                    scratch.touched.push_back(d);
-                }
-            }
-        }
-    }
-    if (stats != nullptr) {
-        stats->postings_scanned += pstats.postings_decoded;
-        stats->blocks_decoded += pstats.blocks_decoded;
-        stats->blocks_skipped += pstats.blocks_skipped;
-    }
-    return collect_hits(scratch, opts, stats,
-                        [&scratch](DocId d) { return scratch.score[d]; });
-}
-
-std::vector<Hit> Bm25Scorer::query_kernel_bmw(QueryScratch& scratch, const KernelOptions& opts,
-                                              KernelStats* stats) const {
-    // Block-Max WAND: document-at-a-time with two-level pruning. The
-    // term-level max scores pick a pivot document (no prefix of cursors
-    // whose summed bound is strictly below the top-k floor can contain a
-    // top-k document — strict, so ties can never be wrongly skipped); the
-    // per-block max scores then either confirm the pivot is worth decoding
-    // or certify a whole doc-id range — and the compressed blocks covering
-    // it — as skippable. Every evaluated document's score is accumulated
-    // in ascending-term order starting from 0.0, which reproduces the
-    // reference sums bit-for-bit (contributions are positive, 0 + x == x),
-    // and the surviving candidates flow through the same gate/top-k
-    // collection as the unpruned path, so the result is exactly the
-    // unpruned top-k.
-    const auto& terms = scratch.terms;
-    const std::size_t n_terms = terms.size();
-    const std::size_t k = opts.top_k;
-    const double k1 = params_.k1;
-    scratch.ensure_bmw(n_terms);
-    PostingStats pstats;
-    auto& cursors = scratch.cursors;
-    auto& order = scratch.order;
-    for (std::size_t i = 0; i < n_terms; ++i) {
-        cursors[i].reset(index_.list(terms[i]), scratch.block_docs.data() + i * kBlockDocs,
-                         scratch.block_weights.data() + i * kBlockDocs, &pstats);
-        if (!cursors[i].exhausted()) order.push_back(static_cast<std::uint32_t>(i));
-    }
-
-    auto& heap = scratch.heap; // min-heap of top-k gate-passing scores
-    double theta = -std::numeric_limits<double>::infinity();
-    std::uint64_t pruned = 0;
-    while (!order.empty()) {
-        std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-            const DocId da = cursors[a].doc(), db = cursors[b].doc();
-            if (da != db) return da < db;
-            return a < b;
-        });
-        // Pivot: shortest prefix whose term-level bound can reach theta.
-        double ub = 0.0;
-        std::size_t p = 0;
-        bool found = false;
-        for (; p < order.size(); ++p) {
-            ub += max_contrib_[terms[order[p]]];
-            if (ub >= theta) {
-                found = true;
-                break;
-            }
-        }
-        if (!found) break; // no remaining document can reach the floor
-        const DocId pivot = cursors[order[p]].doc();
-        while (p + 1 < order.size() && cursors[order[p + 1]].doc() == pivot) ++p;
-
-        // Block-level refinement: bound the pivot by the max scores of the
-        // blocks that would actually supply its contributions (metadata
-        // only — nothing is decompressed here).
-        double block_ub = 0.0;
-        DocId min_boundary = kNoDocId;
-        for (std::size_t i = 0; i <= p; ++i) {
-            const PostingCursor& c = cursors[order[i]];
-            const std::uint32_t b = c.find_block(pivot);
-            if (b >= c.n_blocks()) continue; // list ends before the pivot
-            block_ub += block_max_[c.block_base() + b];
-            min_boundary = std::min(min_boundary, c.last_doc_of(b));
-        }
-
-        if (block_ub >= theta) {
-            // Evaluate the pivot exactly.
-            for (std::size_t i = 0; i <= p; ++i) cursors[order[i]].seek(pivot);
-            double score = 0.0, evidence = 0.0;
-            std::uint64_t bits = 0;
-            for (std::size_t i = 0; i < n_terms; ++i) {
-                const PostingCursor& c = cursors[i];
-                if (c.exhausted() || c.doc() != pivot) continue;
-                const double tf = c.weight();
-                const double idf_t = index_.idf(terms[i]);
-                score += idf_t * (tf * (k1 + 1.0)) / (tf + norms_[pivot]);
-                evidence += idf_t;
-                bits |= std::uint64_t{1} << i;
-            }
-            scratch.stamp[pivot] = scratch.epoch;
-            scratch.score[pivot] = score;
-            scratch.evidence_idf[pivot] = evidence;
-            scratch.term_bits[pivot] = bits;
-            scratch.touched.push_back(pivot);
-            if (evidence >= opts.min_evidence_idf) {
-                // Exact scores (not partial lower bounds) feed the floor,
-                // so theta is the true k-th best gate-passing score so far.
-                heap.push_back(score);
-                std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-                if (heap.size() > k) {
-                    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-                    heap.pop_back();
-                }
-                if (heap.size() == k) theta = heap.front();
-            }
-            for (std::size_t i = 0; i <= p; ++i) {
-                PostingCursor& c = cursors[order[i]];
-                if (!c.exhausted() && c.doc() == pivot) c.seek(pivot + 1);
-            }
-        } else {
-            // Every document in [pivot, min_boundary] draws its possible
-            // contributions from exactly the blocks bounded above (earlier
-            // blocks end before the pivot), so the whole range is below
-            // theta. Jump past it, but never past the first cursor outside
-            // the pivot prefix.
-            ++pruned;
-            DocId target = min_boundary == kNoDocId ? kNoDocId : min_boundary + 1;
-            if (p + 1 < order.size()) target = std::min(target, cursors[order[p + 1]].doc());
-            for (std::size_t i = 0; i <= p; ++i) cursors[order[i]].seek(target);
-        }
-        order.erase(std::remove_if(order.begin(), order.end(),
-                                   [&](std::uint32_t i) { return cursors[i].exhausted(); }),
-                    order.end());
-    }
-    // Cursors left standing when the loop exits were abandoned by the
-    // term-level bound: no document they still cover can reach theta, so
-    // their undecoded tails are blocks skipped without decompression.
-    for (std::size_t i = 0; i < n_terms; ++i) pstats.blocks_skipped += cursors[i].undecoded_tail();
-    if (stats != nullptr) {
-        stats->postings_scanned += pstats.postings_decoded;
-        stats->blocks_decoded += pstats.blocks_decoded;
-        stats->blocks_skipped += pstats.blocks_skipped;
-        stats->docs_pruned += pruned; // pivot documents proven below the floor
-    }
-    return collect_hits(scratch, opts, stats,
-                        [&scratch](DocId d) { return scratch.score[d]; });
-}
-
-// --------------------------------------------------------------- TF-IDF
-
-void TfidfScorer::build_weight_begin() {
-    weight_begin_.resize(index_.term_count());
-    std::uint64_t at = 0;
-    for (TermId t = 0; t < weight_begin_.size(); ++t) {
-        weight_begin_[t] = at;
-        at += index_.list(t).doc_count;
-    }
-}
-
-TfidfScorer::TfidfScorer(const InvertedIndex& index) : index_(index) {
-    if (!index.finalized()) throw ValidationError("TF-IDF requires a finalized index");
-    const double n = static_cast<double>(index.doc_count());
-    std::vector<double> doc_norms(index.doc_count(), 0.0);
-    std::vector<double> idf(index.term_count(), 0.0);
-    std::vector<double> weights;
-    weights.reserve(index.store().posting_count());
-    for (TermId t = 0; t < index.term_count(); ++t) {
-        const ListView lv = index.list(t);
-        if (lv.empty()) continue;
-        const double idf_t = std::log(n / static_cast<double>(lv.doc_count));
-        idf[t] = idf_t;
-        for_each_posting(lv, [&](DocId d, float tf) {
-            const double w = (1.0 + std::log(std::max<double>(tf, 1e-9))) * idf_t;
-            weights.push_back(w);
-            doc_norms[d] += w * w;
-        });
-    }
-    for (double& norm : doc_norms) norm = std::sqrt(norm);
-    doc_norms_ = util::F64Table::own(std::move(doc_norms));
-    idf_ = util::F64Table::own(std::move(idf));
-    doc_weights_ = util::F64Table::own(std::move(weights));
-    build_weight_begin();
-}
-
-TfidfScorer::TfidfScorer(ThawTag, const InvertedIndex& index, util::ByteReader& r,
-                         const util::SlabView& slabs)
-    : index_(index) {
-    doc_norms_ = util::F64Table::view(slabs.slice(util::read_slab_ref(r)));
-    idf_ = util::F64Table::view(slabs.slice(util::read_slab_ref(r)));
-    doc_weights_ = util::F64Table::view(slabs.slice(util::read_slab_ref(r)));
-    if (doc_norms_.size() != index.doc_count() || idf_.size() != index.term_count() ||
-        doc_weights_.size() != index.store().posting_count())
-        throw ValidationError("TF-IDF snapshot: table sizes do not match index");
-    build_weight_begin();
-}
-
-void TfidfScorer::freeze(util::ByteWriter& w, util::SlabWriter& slabs) const {
-    util::write_slab_ref(w, slabs.add(doc_norms_.bytes()));
-    util::write_slab_ref(w, slabs.add(idf_.bytes()));
-    util::write_slab_ref(w, slabs.add(doc_weights_.bytes()));
-}
-
-TfidfScorer TfidfScorer::thaw(const InvertedIndex& index, util::ByteReader& r,
-                              const util::SlabView& slabs) {
-    return TfidfScorer(ThawTag{}, index, r, slabs);
-}
-
-std::vector<Hit> TfidfScorer::query(const std::vector<std::string>& tokens) const {
-    // Query-term frequencies in canonical ascending term-string order —
-    // deterministic, and the same accumulation order as the kernel.
-    std::vector<std::pair<TermId, double>> qtf;
-    {
-        std::vector<TermId> ids;
-        for (const std::string& tok : tokens) {
-            TermId t = index_.vocab_.lookup(tok);
-            if (t != kNoTerm) ids.push_back(t);
-        }
-        std::sort(ids.begin(), ids.end(), [this](TermId a, TermId b) {
-            return index_.vocab_.term(a) < index_.vocab_.term(b);
-        });
-        for (std::size_t i = 0; i < ids.size();) {
-            std::size_t j = i;
-            while (j < ids.size() && ids[j] == ids[i]) ++j;
-            qtf.emplace_back(ids[i], static_cast<double>(j - i));
-            i = j;
-        }
-    }
-    double qnorm = 0.0;
-    std::unordered_map<DocId, Hit> acc;
-    for (const auto& [t, tf] : qtf) {
-        const ListView lv = index_.list(t);
-        if (lv.empty()) continue;
-        const double qw = (1.0 + std::log(tf)) * idf_[t];
-        qnorm += qw * qw;
-        std::size_t j = weight_begin_[t];
-        for_each_posting(lv, [&](DocId d, float) {
-            Hit& h = acc.try_emplace(d, Hit{d, 0.0, {}}).first->second;
-            h.score += qw * doc_weights_[j++];
-            h.matched_terms.push_back(t);
-        });
-    }
-    qnorm = std::sqrt(qnorm);
-    std::vector<Hit> hits;
-    hits.reserve(acc.size());
-    for (auto& [doc, h] : acc) {
-        const double denom = qnorm * doc_norms_[doc];
-        h.score = denom > 0.0 ? h.score / denom : 0.0;
-        hits.push_back(std::move(h));
-    }
-    std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-        if (a.score != b.score) return a.score > b.score;
-        return a.doc < b.doc;
-    });
-    return hits;
-}
-
-std::vector<Hit> TfidfScorer::query_kernel(const std::vector<std::string>& tokens,
-                                           QueryScratch& scratch, const KernelOptions& opts,
-                                           KernelStats* stats) const {
-    scratch.begin(index_.doc_count());
-    collect_query_terms(index_, tokens, scratch);
-    const auto& terms = scratch.terms;
-    if (terms.empty()) return {};
-    if (terms.size() > 64) return apply_kernel_semantics(query(tokens), index_, opts, stats);
-
-    double qnorm = 0.0;
-    PostingStats pstats;
-    std::uint32_t docs[kBlockDocs];
-    float weights[kBlockDocs];
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-        const TermId t = terms[i];
-        const ListView lv = index_.list(t);
-        if (lv.empty()) continue;
-        const double qw = (1.0 + std::log(scratch.query_tf[i])) * idf_[t];
-        qnorm += qw * qw;
-        const double gate_idf = index_.idf(t); // evidence gate uses rsj_idf
-        const std::uint64_t bit = std::uint64_t{1} << i;
-        std::size_t w_at = weight_begin_[t];
-        for (std::uint32_t b = 0; b < lv.n_blocks; ++b) {
-            const std::size_t n = decode_block(lv, b, docs, weights, &pstats);
-            for (std::size_t j = 0; j < n; ++j) {
-                const DocId d = docs[j];
-                const double contrib = qw * doc_weights_[w_at++];
-                if (scratch.stamp[d] == scratch.epoch) {
-                    scratch.score[d] += contrib;
-                    scratch.evidence_idf[d] += gate_idf;
-                    scratch.term_bits[d] |= bit;
-                } else {
-                    scratch.stamp[d] = scratch.epoch;
-                    scratch.score[d] = contrib;
-                    scratch.evidence_idf[d] = gate_idf;
-                    scratch.term_bits[d] = bit;
-                    scratch.touched.push_back(d);
-                }
-            }
-        }
-    }
-    if (stats != nullptr) {
-        stats->postings_scanned += pstats.postings_decoded;
-        stats->blocks_decoded += pstats.blocks_decoded;
-        stats->blocks_skipped += pstats.blocks_skipped;
-    }
-    qnorm = std::sqrt(qnorm);
-    return collect_hits(scratch, opts, stats, [&](DocId d) {
-        const double denom = qnorm * doc_norms_[d];
-        return denom > 0.0 ? scratch.score[d] / denom : 0.0;
-    });
-}
-
-double jaccard(const std::vector<std::string>& a, const std::vector<std::string>& b) {
-    // Sorted-vector set intersection: the token vectors are small and the
-    // old std::set version paid one node allocation per distinct token.
-    std::vector<std::string_view> sa(a.begin(), a.end());
-    std::vector<std::string_view> sb(b.begin(), b.end());
-    std::sort(sa.begin(), sa.end());
-    sa.erase(std::unique(sa.begin(), sa.end()), sa.end());
-    std::sort(sb.begin(), sb.end());
-    sb.erase(std::unique(sb.begin(), sb.end()), sb.end());
-    if (sa.empty() && sb.empty()) return 1.0;
-    std::size_t inter = 0;
-    for (std::size_t i = 0, j = 0; i < sa.size() && j < sb.size();) {
-        if (sa[i] < sb[j]) {
-            ++i;
-        } else if (sb[j] < sa[i]) {
-            ++j;
-        } else {
-            ++inter;
-            ++i;
-            ++j;
-        }
-    }
-    const std::size_t uni = sa.size() + sb.size() - inter;
-    return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 } // namespace cybok::text

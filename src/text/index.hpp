@@ -1,5 +1,6 @@
-// Vocabulary and inverted index over tokenized documents, plus the two
-// ranking functions the search engine offers (BM25 and TF-IDF cosine).
+// Vocabulary and inverted index over tokenized documents, plus the BM25
+// scorer's precomputed tables. Scoring itself is the one kernel in
+// text/segments.hpp.
 //
 // Thread-safety contract (build-then-freeze): an InvertedIndex has two
 // phases. During *building* (add_document / add_term) it is single-writer
@@ -8,8 +9,8 @@
 // and performs no hidden mutation, so any number of threads may query it
 // concurrently with no synchronization, provided finalize() happens-before
 // the first concurrent read (e.g. via the thread-creation ordering the
-// parallel association pipeline uses). The scorers hold const references
-// and inherit the same guarantee.
+// parallel association pipeline uses). A Bm25Scorer's tables are built
+// from a finalized index and are immutable too.
 //
 // Storage: finalize() compresses the posting lists into a block-compressed
 // PostingStore (text/postings.hpp) and the per-doc / per-term tables into
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "text/postings.hpp"
-#include "text/scratch.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -181,7 +181,7 @@ public:
     /// Precomputed rsj_idf of a term (valid after finalize(); 0 for ids
     /// outside the vocabulary). This is both the BM25 term weight and the
     /// evidence-gate weight — one table, computed once at finalize, so
-    /// query() never recomputes a log or round-trips through strings.
+    /// the kernel never recomputes a log.
     [[nodiscard]] double idf(TermId t) const noexcept {
         return t < idf_.size() ? idf_[t] : 0.0;
     }
@@ -198,9 +198,6 @@ public:
     [[nodiscard]] static InvertedIndex thaw(util::ByteReader& r, const util::SlabView& slabs);
 
 private:
-    friend class Bm25Scorer;
-    friend class TfidfScorer;
-
     Vocabulary vocab_;
     // Finalized state: compressed postings + flat tables (owned or viewing
     // snapshot slabs — see the storage note at the top of this file).
@@ -217,55 +214,10 @@ private:
     void flush_accum();
 };
 
-/// A scored document hit, with the query terms that matched it (by term
-/// id, in canonical ascending term-string order) — the search layer turns
-/// these into human-readable evidence.
-struct Hit {
-    DocId doc;
-    double score;
-    std::vector<TermId> matched_terms;
-};
-
-/// Options for the flat-accumulator scoring kernel (query_kernel on the
-/// scorers). Defaults reproduce the reference query() exactly: every
-/// gate-passing hit, no truncation, no pruning.
-struct KernelOptions {
-    /// Keep only the best k hits by (score desc, doc asc); 0 = unlimited.
-    std::size_t top_k = 0;
-    /// Fused evidence-quality gate: a hit survives only if the summed
-    /// rsj_idf of its distinct matched terms reaches this threshold (the
-    /// engine's min_evidence_idf, evaluated inside the kernel so the
-    /// caller never re-deduplicates matched terms or recomputes IDF).
-    double min_evidence_idf = 0.0;
-    /// Block-Max WAND pruning (BM25 only; needs top_k > 0): documents —
-    /// and whole compressed blocks — whose score upper bound cannot beat
-    /// the current top-k floor are skipped without decompression. Exact —
-    /// the surviving top-k is identical to the unpruned result.
-    bool prune = true;
-};
-
-/// Per-query kernel instrumentation (accumulated into AssocMetrics by the
-/// search layer).
-struct KernelStats {
-    std::uint64_t postings_scanned = 0; ///< postings actually decoded and scored
-    std::uint64_t docs_pruned = 0;      ///< accumulator admissions skipped by pruning
-    std::uint64_t hits_gated = 0;       ///< candidates dropped by the evidence gate
-    std::uint64_t fallback_queries = 0; ///< queries routed to the reference scorer (>64 terms)
-    std::uint64_t blocks_decoded = 0;   ///< posting blocks decompressed
-    std::uint64_t blocks_skipped = 0;   ///< posting blocks skipped without decompression
-};
-
-/// Okapi BM25 ranking over an InvertedIndex. Holds a const reference to a
-/// finalized index; query() / query_kernel() are const and safe for
-/// concurrent callers (each kernel caller brings its own QueryScratch).
-///
-/// query() is the sequential reference implementation — hash-map
-/// accumulators, no pruning, every block decoded. query_kernel() is the
-/// kernel the engine runs: a term-at-a-time flat-accumulator pass when
-/// unpruned, and Block-Max WAND (document-at-a-time with block-granular
-/// skipping) when pruning with top-k. Identical hits (doc, score, matched
-/// terms) by construction, proven by the kernel property tests and the
-/// soak-matrix equality oracle.
+/// Okapi BM25 over one finalized InvertedIndex: the k1/b knobs plus the
+/// tables the kernel (text/segments.hpp) reads — per-doc length norms and
+/// the per-term and per-block max impact scores Block-Max WAND bounds
+/// with. Immutable once built, so any number of threads may read it.
 class Bm25Scorer {
 public:
     /// Standard BM25 knobs: k1 = term-frequency saturation, b = length
@@ -278,25 +230,12 @@ public:
     explicit Bm25Scorer(const InvertedIndex& index) : Bm25Scorer(index, Params{}) {}
     Bm25Scorer(const InvertedIndex& index, Params params);
 
-    /// Rank all documents matching >= 1 query token. Results sorted by
-    /// descending score (ties by ascending doc id). Reference semantics.
-    [[nodiscard]] std::vector<Hit> query(const std::vector<std::string>& tokens) const;
-
-    /// Flat-accumulator kernel: same ranking as query(), plus the fused
-    /// evidence gate, optional top-k truncation, and Block-Max WAND
-    /// pruning (see KernelOptions). matched_terms come back distinct and
-    /// sorted.
-    [[nodiscard]] std::vector<Hit> query_kernel(const std::vector<std::string>& tokens,
-                                                QueryScratch& scratch,
-                                                const KernelOptions& opts = {},
-                                                KernelStats* stats = nullptr) const;
-
-    /// IDF of one term (Robertson–Sparck Jones with +1 smoothing).
-    [[nodiscard]] double idf(std::string_view term) const noexcept;
-
-    /// The BM25 knobs this scorer was built with (the multi-segment path
-    /// must score every segment with the base scorer's parameters).
+    /// The BM25 knobs this scorer was built with (every segment of one
+    /// query is scored with the base scorer's parameters).
     [[nodiscard]] const Params& params() const noexcept { return params_; }
+    /// Per-doc length norms k1*(1-b+b*len/avg) under this index's own
+    /// statistics, indexed by DocId (a sealed index is scored with these).
+    [[nodiscard]] const double* norms() const noexcept { return norms_.data(); }
     /// Constructor-computed max posting contribution of term `t` under
     /// *this index's own* statistics (0 for ids outside the vocabulary).
     /// The segment layer rescales these into valid bounds under merged
@@ -305,9 +244,10 @@ public:
         return t < max_contrib_.size() ? max_contrib_[t] : 0.0;
     }
     /// Max contribution of one compressed block, by global block index
-    /// (ListView::block_base + local block), under this index's own stats.
+    /// (ListView::block_base + local block, so always < the index's block
+    /// count), under this index's own stats.
     [[nodiscard]] double block_max_bound(std::size_t global_block) const noexcept {
-        return global_block < block_max_.size() ? block_max_[global_block] : 0.0;
+        return block_max_[global_block];
     }
 
     /// Serialize params into the eager stream and the constructor-computed
@@ -325,10 +265,6 @@ private:
     Bm25Scorer(ThawTag, const InvertedIndex& index, util::ByteReader& r,
                const util::SlabView& slabs);
 
-    std::vector<Hit> query_kernel_bmw(QueryScratch& scratch, const KernelOptions& opts,
-                                      KernelStats* stats) const;
-
-    const InvertedIndex& index_;
     Params params_;
     // Precomputed at construction so the query loop does no division by
     // avg_doc_length and no per-posting recomputation:
@@ -336,53 +272,5 @@ private:
     util::F64Table max_contrib_; ///< max posting contribution per term (WAND pivot bound)
     util::F64Table block_max_;   ///< max contribution per block, by global block index
 };
-
-/// TF-IDF cosine-similarity ranking (the ablation baseline for BM25).
-/// Same concurrency guarantee as Bm25Scorer: const queries over a
-/// finalized index.
-class TfidfScorer {
-public:
-    explicit TfidfScorer(const InvertedIndex& index);
-
-    /// Reference semantics (hash-map accumulators, all hits).
-    [[nodiscard]] std::vector<Hit> query(const std::vector<std::string>& tokens) const;
-
-    /// Flat-accumulator kernel with fused evidence gate and optional
-    /// top-k. Pruning is not applied: per-document cosine normalization
-    /// makes partial scores non-monotone bounds, so skipping could not
-    /// stay exact (KernelOptions::prune is ignored).
-    [[nodiscard]] std::vector<Hit> query_kernel(const std::vector<std::string>& tokens,
-                                                QueryScratch& scratch,
-                                                const KernelOptions& opts = {},
-                                                KernelStats* stats = nullptr) const;
-
-    /// Serialize the constructor-computed tables (doc norms, IDF, the flat
-    /// per-posting document weights) as aligned slabs.
-    void freeze(util::ByteWriter& w, util::SlabWriter& slabs) const;
-    /// Construct over `index` with tables viewed from `slabs` instead of
-    /// recomputed.
-    [[nodiscard]] static TfidfScorer thaw(const InvertedIndex& index, util::ByteReader& r,
-                                          const util::SlabView& slabs);
-
-private:
-    struct ThawTag {};
-    TfidfScorer(ThawTag, const InvertedIndex& index, util::ByteReader& r,
-                const util::SlabView& slabs);
-
-    /// Flat index of posting j of term t inside doc_weights_.
-    [[nodiscard]] std::size_t weight_at(TermId t, std::size_t j) const noexcept {
-        return weight_begin_[t] + j;
-    }
-    void build_weight_begin();
-
-    const InvertedIndex& index_;
-    util::F64Table doc_norms_;   ///< L2 norm of each doc's tf-idf vector
-    util::F64Table idf_;         ///< log(n/df) per term (0 for empty postings)
-    util::F64Table doc_weights_; ///< flat per-posting weights, term-major, posting order
-    std::vector<std::uint64_t> weight_begin_; ///< doc_weights_ offset per term (derived)
-};
-
-/// Jaccard similarity of two token sets.
-[[nodiscard]] double jaccard(const std::vector<std::string>& a, const std::vector<std::string>& b);
 
 } // namespace cybok::text

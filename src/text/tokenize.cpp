@@ -212,18 +212,4 @@ std::vector<std::string> analyze(std::string_view s, bool use_stemming) {
     return tokens;
 }
 
-std::vector<std::string> ngrams(const std::vector<std::string>& tokens, std::size_t n) {
-    std::vector<std::string> out;
-    if (n == 0 || tokens.size() < n) return out;
-    for (std::size_t i = 0; i + n <= tokens.size(); ++i) {
-        std::string gram = tokens[i];
-        for (std::size_t j = 1; j < n; ++j) {
-            gram.push_back('_');
-            gram += tokens[i + j];
-        }
-        out.push_back(std::move(gram));
-    }
-    return out;
-}
-
 } // namespace cybok::text

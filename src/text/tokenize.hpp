@@ -33,9 +33,4 @@ void remove_stopwords(std::vector<std::string>& tokens);
 /// The full pipeline: tokenize, drop stopwords, stem each survivor.
 [[nodiscard]] std::vector<std::string> analyze(std::string_view s, bool use_stemming = true);
 
-/// Contiguous n-grams joined with '_' (n >= 1). Used for phrase features
-/// like "command_injection".
-[[nodiscard]] std::vector<std::string> ngrams(const std::vector<std::string>& tokens,
-                                              std::size_t n);
-
 } // namespace cybok::text

@@ -184,7 +184,7 @@ TEST(Associator, OptionsSignatureSeparatesEngines) {
     b.lexical_vulnerabilities = true;
     EXPECT_NE(a.signature(), b.signature());
     search::EngineOptions c;
-    c.ranker = search::EngineOptions::Ranker::Tfidf;
+    c.title_weight = 1.0f;
     EXPECT_NE(a.signature(), c.signature());
     EXPECT_EQ(a.signature(), search::EngineOptions{}.signature());
 }

@@ -1,7 +1,9 @@
-// The cybok CLI's numeric options, checked by running the binary: a value
-// that does not parse whole, or does not fit its type, is a usage error
-// (exit 1) reported before any work starts. Every case here fails in
-// option parsing, so none of them loads a corpus or starts a thread.
+// The cybok CLI's usage errors, checked by running the binary: a numeric
+// value that does not parse whole or does not fit its type, a stray
+// argument, a missing required option, or an unknown enumerated value is
+// a usage error (exit 1) reported before any work starts. Every case here
+// fails in option parsing, so none of them loads a corpus or starts a
+// thread.
 
 #include <gtest/gtest.h>
 
@@ -33,11 +35,16 @@ CliRun run_cli(const std::string& args) {
     return run;
 }
 
-void expect_usage_error(const std::string& args, const std::string& option) {
+/// `cybok args` exits 1 with "usage error: <message>" on its output.
+void expect_usage_message(const std::string& args, const std::string& message) {
     const CliRun run = run_cli(args);
     EXPECT_EQ(run.exit_code, 1) << "cybok " << args << "\n" << run.output;
-    EXPECT_NE(run.output.find("usage error: --" + option), std::string::npos)
+    EXPECT_NE(run.output.find("usage error: " + message), std::string::npos)
         << "cybok " << args << "\n" << run.output;
+}
+
+void expect_usage_error(const std::string& args, const std::string& option) {
+    expect_usage_message(args, "--" + option);
 }
 
 } // namespace
@@ -60,4 +67,24 @@ TEST(Cli, OutOfRangePortIsUsageError) {
     expect_usage_error("serve --port 70000", "port");
     expect_usage_error("serve --port 65536", "port");
     expect_usage_error("client --type hello --port 70000", "port");
+}
+
+TEST(Cli, StrayArgumentIsUsageError) {
+    expect_usage_message("table1 stray", "unexpected argument: stray");
+}
+
+TEST(Cli, MissingRequiredOptionIsUsageError) {
+    expect_usage_message("associate --model m.sysm", "missing required option --corpus");
+}
+
+TEST(Cli, UnknownValueIsUsageError) {
+    // The value is checked before the corpus loads: this path does not exist.
+    expect_usage_message("search --corpus /nonexistent --query x --class bogus",
+                         "unknown --class: bogus");
+    expect_usage_message("client --type bogus", "unknown --type: bogus");
+    expect_usage_message("model --demo bogus", "unknown demo model: bogus");
+    expect_usage_message("model --zoo bogus", "unknown --zoo domain: bogus");
+    expect_usage_message("fleet --domains bogus", "unknown --domains entry: bogus");
+    expect_usage_message("lint --corpus /nonexistent --model m.sysm --severity C001=loud",
+                         "bad --severity entry: C001=loud");
 }

@@ -216,8 +216,7 @@ TEST(Concurrency, ParallelEnginesOverOneCorpus) {
     for (int t = 0; t < 4; ++t) {
         workers.emplace_back([&, t] {
             search::EngineOptions opts;
-            opts.ranker = t % 2 == 0 ? search::EngineOptions::Ranker::Bm25
-                                     : search::EngineOptions::Ranker::Tfidf;
+            opts.title_weight = t % 2 == 0 ? 3.0f : 1.0f;
             try {
                 search::SearchEngine engine(shared_corpus(), opts);
                 auto hits = engine.query_text("linux kernel escalation",

@@ -393,16 +393,6 @@ TEST(DeltaEdges, EmptyDeltaIsBitIdenticalNoop) {
     expect_bit_identical(g1, base_engine, 903);
 }
 
-TEST(DeltaEdges, TfidfRankerRejectsDeltas) {
-    const kb::Corpus base = small_corpus();
-    search::EngineOptions opts;
-    opts.ranker = search::EngineOptions::Ranker::Tfidf;
-    const search::SearchEngine base_engine(base, opts);
-    Rng rng(4);
-    const kb::CorpusDelta d = make_delta(base, rng, 60);
-    EXPECT_THROW(search::SegmentedEngine(base_engine, d), ValidationError);
-}
-
 // ------------------------------------------- generations in core::Session
 
 TEST(DeltaSession, QueryCacheCannotServeAStaleGeneration) {

@@ -1,8 +1,9 @@
 // The differential oracle harness, swept across seeds and fault matrices
 // (ctest label: soak). Three oracles from the fault-injection design:
 //
-//   (a) kernel vs reference scorer — query_kernel() must reproduce the
-//       reference query() hit for hit under every gate configuration,
+//   (a) kernel vs reference scorer — text::query_segments over a sealed
+//       index must reproduce the reference scorer in tests/oracle hit for
+//       hit under every gate configuration,
 //   (b) parallel vs sequential build — the frozen engine blob must be
 //       byte-identical whether the sharded build succeeded or a fault
 //       forced the sequential fallback, and the blob must survive a
@@ -36,6 +37,7 @@
 #include "kb/delta.hpp"
 #include "safety/hazards.hpp"
 #include "kb/serialize.hpp"
+#include "oracle/bm25_reference.hpp"
 #include "search/association.hpp"
 #include "search/engine.hpp"
 #include "serve/client.hpp"
@@ -113,7 +115,7 @@ const std::string& reference_blob() {
     return blob;
 }
 
-// --- oracle (a) helpers, engine-side reference semantics -----------------
+// --- oracle (a) helpers --------------------------------------------------
 
 text::InvertedIndex weakness_index(const kb::Corpus& corpus) {
     text::InvertedIndex index;
@@ -127,28 +129,6 @@ text::InvertedIndex weakness_index(const kb::Corpus& corpus) {
     }
     index.finalize();
     return index;
-}
-
-std::vector<text::Hit> reference_hits(const std::vector<text::Hit>& raw,
-                                      const text::InvertedIndex& index,
-                                      const text::KernelOptions& opts) {
-    std::vector<text::Hit> out;
-    const text::Vocabulary& vocab = index.vocabulary();
-    for (text::Hit h : raw) {
-        // Canonical ascending term-string order (matches collect_query_terms).
-        std::sort(h.matched_terms.begin(), h.matched_terms.end(),
-                  [&vocab](text::TermId a, text::TermId b) {
-                      return vocab.term(a) < vocab.term(b);
-                  });
-        h.matched_terms.erase(std::unique(h.matched_terms.begin(), h.matched_terms.end()),
-                              h.matched_terms.end());
-        double evidence = 0.0;
-        for (text::TermId t : h.matched_terms) evidence += index.idf(t);
-        if (evidence < opts.min_evidence_idf) continue;
-        out.push_back(std::move(h));
-    }
-    if (opts.top_k > 0 && out.size() > opts.top_k) out.resize(opts.top_k);
-    return out;
 }
 
 } // namespace
@@ -174,10 +154,11 @@ TEST_P(FaultMatrixSoak, KernelMatchesReferenceScorer) {
             const auto t = static_cast<text::TermId>(rng.uniform(0, index.term_count() - 1));
             tokens.push_back(index.vocabulary().term(t));
         }
-        const std::vector<text::Hit> raw = scorer.query(tokens);
+        const std::vector<text::Hit> raw = oracle::bm25_query(index, scorer, tokens);
         for (const text::KernelOptions& opts : configs) {
-            const std::vector<text::Hit> kernel = scorer.query_kernel(tokens, scratch, opts);
-            const std::vector<text::Hit> ref = reference_hits(raw, index, opts);
+            const std::vector<text::Hit> kernel =
+                oracle::sealed_kernel(index, scorer, tokens, scratch, opts);
+            const std::vector<text::Hit> ref = oracle::reference_hits(raw, index, opts);
             ASSERT_EQ(kernel.size(), ref.size());
             for (std::size_t i = 0; i < kernel.size(); ++i) {
                 EXPECT_EQ(kernel[i].doc, ref[i].doc);
@@ -228,7 +209,7 @@ const text::InvertedIndex& bmw_oracle_index() {
 } // namespace
 
 TEST_P(FaultMatrixSoak, BlockMaxWandMatchesUnprunedBitExactly) {
-    // The tentpole exactness claim: with pruning on, the BM25 kernel runs
+    // The pruning exactness claim: with pruning on, the BM25 kernel runs
     // document-at-a-time over compressed blocks, skipping every block the
     // block-max bound proves irrelevant — and must still return the same
     // hits with BIT-IDENTICAL scores as the unpruned term-at-a-time pass
@@ -253,9 +234,9 @@ TEST_P(FaultMatrixSoak, BlockMaxWandMatchesUnprunedBitExactly) {
                 text::KernelOptions unpruned{k, gate, false};
                 text::KernelStats ps{}, us{};
                 const std::vector<text::Hit> got =
-                    scorer.query_kernel(tokens, pruned_scratch, pruned, &ps);
+                    oracle::sealed_kernel(index, scorer, tokens, pruned_scratch, pruned, &ps);
                 const std::vector<text::Hit> want =
-                    scorer.query_kernel(tokens, ref_scratch, unpruned, &us);
+                    oracle::sealed_kernel(index, scorer, tokens, ref_scratch, unpruned, &us);
                 ASSERT_EQ(got.size(), want.size());
                 for (std::size_t i = 0; i < got.size(); ++i) {
                     EXPECT_EQ(got[i].doc, want[i].doc);

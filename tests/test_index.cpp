@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "oracle/bm25_reference.hpp"
 #include "text/index.hpp"
+#include "text/segments.hpp"
 #include "text/tokenize.hpp"
 
+using namespace cybok;
 using namespace cybok::text;
 
 namespace {
@@ -22,6 +25,13 @@ InvertedIndex sample_index() {
     }
     index.finalize();
     return index;
+}
+
+/// BM25 hits for `tokens` through the kernel, over `index` sealed.
+std::vector<Hit> bm25(const InvertedIndex& index, const std::vector<std::string>& tokens) {
+    const Bm25Scorer scorer(index);
+    QueryScratch scratch;
+    return oracle::sealed_kernel(index, scorer, tokens, scratch);
 }
 
 } // namespace
@@ -118,8 +128,7 @@ TEST(Bm25, RequiresFinalizedIndex) {
 
 TEST(Bm25, RanksMatchingDocsOnly) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    auto hits = scorer.query({"linux"});
+    auto hits = bm25(index, {"linux"});
     ASSERT_EQ(hits.size(), 2u);
     EXPECT_TRUE((hits[0].doc == 0 && hits[1].doc == 2) ||
                 (hits[0].doc == 2 && hits[1].doc == 0));
@@ -127,8 +136,7 @@ TEST(Bm25, RanksMatchingDocsOnly) {
 
 TEST(Bm25, MoreMatchedTermsScoreHigher) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    auto hits = scorer.query({"linux", "kernel"});
+    auto hits = bm25(index, {"linux", "kernel"});
     ASSERT_GE(hits.size(), 2u);
     EXPECT_EQ(hits[0].doc, 0u); // matches both terms
     EXPECT_EQ(hits[0].matched_terms.size(), 2u);
@@ -137,73 +145,35 @@ TEST(Bm25, MoreMatchedTermsScoreHigher) {
 
 TEST(Bm25, UnknownTermsIgnored) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    EXPECT_TRUE(scorer.query({"zzz"}).empty());
-    EXPECT_EQ(scorer.query({"zzz", "registry"}).size(), 1u);
+    EXPECT_TRUE(bm25(index, {"zzz"}).empty());
+    EXPECT_EQ(bm25(index, {"zzz", "registry"}).size(), 1u);
 }
 
 TEST(Bm25, RareTermsHaveHigherIdf) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    EXPECT_GT(scorer.idf("registry"), scorer.idf("linux"));
-    EXPECT_GT(scorer.idf("absent"), scorer.idf("registry")); // df=0 maximal
+    const TermId rare = index.vocabulary().lookup("registry"); // df = 1
+    const TermId common = index.vocabulary().lookup("linux");  // df = 2
+    EXPECT_GT(index.idf(rare), index.idf(common));
+    EXPECT_DOUBLE_EQ(index.idf(rare), rsj_idf(4.0, 1.0));
+    // An absent term (df = 0) would weigh the most.
+    EXPECT_GT(rsj_idf(static_cast<double>(index.doc_count()), 0.0), index.idf(rare));
 }
 
 TEST(Bm25, DuplicateQueryTermsDontDoubleCount) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    auto once = scorer.query({"linux"});
-    auto twice = scorer.query({"linux", "linux"});
+    auto once = bm25(index, {"linux"});
+    auto twice = bm25(index, {"linux", "linux"});
     ASSERT_EQ(once.size(), twice.size());
     EXPECT_DOUBLE_EQ(once[0].score, twice[0].score);
 }
 
 TEST(Bm25, ScoresDeterministic) {
     InvertedIndex index = sample_index();
-    Bm25Scorer scorer(index);
-    auto a = scorer.query({"buffer", "linux"});
-    auto b = scorer.query({"buffer", "linux"});
+    auto a = bm25(index, {"buffer", "linux"});
+    auto b = bm25(index, {"buffer", "linux"});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].doc, b[i].doc);
         EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
     }
-}
-
-TEST(Tfidf, CosineInUnitRange) {
-    InvertedIndex index = sample_index();
-    TfidfScorer scorer(index);
-    for (const Hit& h : scorer.query({"linux", "kernel", "buffer"})) {
-        EXPECT_GE(h.score, 0.0);
-        EXPECT_LE(h.score, 1.0 + 1e-9);
-    }
-}
-
-TEST(Tfidf, ExactDocumentQueryScoresHighest) {
-    InvertedIndex index = sample_index();
-    TfidfScorer scorer(index);
-    auto hits = scorer.query(tokenize("windows registry privilege escalation"));
-    ASSERT_FALSE(hits.empty());
-    EXPECT_EQ(hits[0].doc, 1u);
-    EXPECT_NEAR(hits[0].score, 1.0, 1e-9);
-}
-
-TEST(Tfidf, AgreesWithBm25OnClearWinner) {
-    InvertedIndex index = sample_index();
-    Bm25Scorer bm25(index);
-    TfidfScorer tfidf(index);
-    auto b = bm25.query({"registry"});
-    auto t = tfidf.query({"registry"});
-    ASSERT_EQ(b.size(), 1u);
-    ASSERT_EQ(t.size(), 1u);
-    EXPECT_EQ(b[0].doc, t[0].doc);
-}
-
-TEST(Jaccard, Basics) {
-    EXPECT_DOUBLE_EQ(jaccard({"a", "b"}, {"a", "b"}), 1.0);
-    EXPECT_DOUBLE_EQ(jaccard({"a"}, {"b"}), 0.0);
-    EXPECT_DOUBLE_EQ(jaccard({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
-    EXPECT_DOUBLE_EQ(jaccard({}, {}), 1.0);
-    // Multiset input collapses to sets.
-    EXPECT_DOUBLE_EQ(jaccard({"a", "a"}, {"a"}), 1.0);
 }

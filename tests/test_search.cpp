@@ -193,17 +193,6 @@ TEST(SearchEngine, LexicalVulnerabilitiesOption) {
     }));
 }
 
-TEST(SearchEngine, TfidfRankerWorks) {
-    kb::Corpus c = tiny_corpus();
-    EngineOptions opts;
-    opts.ranker = EngineOptions::Ranker::Tfidf;
-    opts.min_evidence_idf = 0.1;
-    SearchEngine engine(c, opts);
-    auto hits = engine.query_text("flooding requests", VectorClass::AttackPattern);
-    ASSERT_FALSE(hits.empty());
-    EXPECT_EQ(hits[0].id, "CAPEC-125");
-}
-
 TEST(SearchEngine, ExpandWeaknessFollowsCrossReferences) {
     kb::Corpus c = tiny_corpus();
     SearchEngine engine(c, relaxed());

@@ -323,22 +323,6 @@ TEST(SnapshotEngine, ThawedEngineAnswersQueriesIdentically) {
               fingerprint(search::associate(scada, fresh)));
 }
 
-TEST(SnapshotEngine, TfidfEngineRoundTrips) {
-    search::EngineOptions opts;
-    opts.ranker = search::EngineOptions::Ranker::Tfidf;
-    search::SearchEngine fresh(shared_corpus(), opts);
-    const std::string blob = freeze_engine(fresh);
-    search::EngineSnapshot snap = search::thaw_engine(blob);
-    EXPECT_EQ(freeze_engine(*snap.engine), blob);
-    const auto want = fresh.query_text("command injection", search::VectorClass::Weakness);
-    const auto got = snap.engine->query_text("command injection", search::VectorClass::Weakness);
-    ASSERT_EQ(want.size(), got.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].id, got[i].id);
-        EXPECT_EQ(want[i].score, got[i].score);
-    }
-}
-
 TEST(SnapshotEngine, RejectsCorruptEngineBlobs) {
     search::SearchEngine fresh(shared_corpus());
     const std::string blob = freeze_engine(fresh);
@@ -549,21 +533,21 @@ TEST(SnapshotSession, ColdStartWritesThenThaws) {
 
 TEST(SnapshotSession, StaleSnapshotTriggersRebuild) {
     const std::string path = temp_path("session_snapshot_stale.bin");
-    core::SessionOptions bm25_opts;
-    bm25_opts.snapshot_path = path;
-    core::AnalysisSession writer(synth::centrifuge_model(), shared_corpus(), bm25_opts);
+    core::SessionOptions default_opts;
+    default_opts.snapshot_path = path;
+    core::AnalysisSession writer(synth::centrifuge_model(), shared_corpus(), default_opts);
     EXPECT_FALSE(writer.from_snapshot());
 
     // Different engine options: the signature guard must reject the file
     // and rebuild (then rewrite it under the new options).
-    core::SessionOptions tfidf_opts;
-    tfidf_opts.snapshot_path = path;
-    tfidf_opts.engine.ranker = search::EngineOptions::Ranker::Tfidf;
-    core::AnalysisSession rebuilt(synth::centrifuge_model(), shared_corpus(), tfidf_opts);
+    core::SessionOptions other_opts;
+    other_opts.snapshot_path = path;
+    other_opts.engine.title_weight = 1.0f;
+    core::AnalysisSession rebuilt(synth::centrifuge_model(), shared_corpus(), other_opts);
     EXPECT_FALSE(rebuilt.from_snapshot());
 
-    // The rewrite is effective: a third session under tfidf options thaws.
-    core::AnalysisSession thawed(synth::centrifuge_model(), shared_corpus(), tfidf_opts);
+    // The rewrite is effective: a third session under the new options thaws.
+    core::AnalysisSession thawed(synth::centrifuge_model(), shared_corpus(), other_opts);
     EXPECT_TRUE(thawed.from_snapshot());
 
     std::remove(path.c_str());
@@ -580,6 +564,30 @@ TEST(SnapshotSession, CorruptSnapshotFallsBackToFreshBuild) {
     EXPECT_GT(session.associations().total(), 0u);
 
     // And the corrupt file was replaced by a valid one.
+    core::AnalysisSession next(synth::centrifuge_model(), shared_corpus(), opts);
+    EXPECT_TRUE(next.from_snapshot());
+
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotSession, PreviousFormatVersionIsRebuilt) {
+    // A v2 file (ranker tag + TF-IDF tables) left by an older build: the
+    // version check rejects it at cold start, the session rebuilds and
+    // records the fallback, and the rewritten file thaws next time.
+    const std::string path = temp_path("session_snapshot_v2.bin");
+    std::string blob = search::freeze_engine(search::SearchEngine(shared_corpus()));
+    ASSERT_EQ(kb::kSnapshotVersion, 3u);
+    blob[8] = 2; // version u32 LSB
+    util::write_file(path, blob);
+
+    core::SessionOptions opts;
+    opts.snapshot_path = path;
+    core::AnalysisSession session(synth::centrifuge_model(), shared_corpus(), opts);
+    EXPECT_FALSE(session.from_snapshot());
+    EXPECT_EQ(session.cold_start_degrade().snapshot_fallbacks, 1u);
+    EXPECT_NE(session.cold_start_degrade().last_reason.find("version"), std::string::npos)
+        << session.cold_start_degrade().last_reason;
+
     core::AnalysisSession next(synth::centrifuge_model(), shared_corpus(), opts);
     EXPECT_TRUE(next.from_snapshot());
 

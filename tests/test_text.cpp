@@ -122,18 +122,3 @@ TEST(Analyze, WithoutStemming) {
     EXPECT_EQ(t[0], "injections");
 }
 
-TEST(Ngrams, BigramsJoinWithUnderscore) {
-    std::vector<std::string> t{"command", "injection", "attack"};
-    auto bi = ngrams(t, 2);
-    ASSERT_EQ(bi.size(), 2u);
-    EXPECT_EQ(bi[0], "command_injection");
-    EXPECT_EQ(bi[1], "injection_attack");
-}
-
-TEST(Ngrams, EdgeCases) {
-    std::vector<std::string> t{"one", "two"};
-    EXPECT_TRUE(ngrams(t, 0).empty());
-    EXPECT_TRUE(ngrams(t, 3).empty());
-    EXPECT_EQ(ngrams(t, 1).size(), 2u);
-    EXPECT_EQ(ngrams(t, 2).size(), 1u);
-}
