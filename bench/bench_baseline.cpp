@@ -21,7 +21,7 @@ namespace {
 
 void print_comparison() {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     safety::HazardModel hazards = synth::centrifuge_hazards();
     MethodologyComparison cmp = compare_methodologies(m, assoc, hazards, "BPCS platform");
 
@@ -59,7 +59,7 @@ BENCHMARK(BM_StridePerElement);
 
 void BM_BuildAttackTree(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     for (auto _ : state) {
         AttackTree tree = build_attack_tree(m, assoc, "BPCS platform");
         benchmark::DoNotOptimize(tree);
@@ -69,7 +69,7 @@ BENCHMARK(BM_BuildAttackTree);
 
 void BM_ConsequenceTracing(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     safety::HazardModel hazards = synth::centrifuge_hazards();
     for (auto _ : state) {
         safety::ConsequenceAnalyzer analyzer(m, hazards);
@@ -81,7 +81,7 @@ BENCHMARK(BM_ConsequenceTracing);
 
 void BM_CausalScenarios(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     safety::HazardModel hazards = synth::centrifuge_hazards();
     for (auto _ : state) {
         auto scenarios = safety::generate_scenarios(m, hazards, assoc);
@@ -92,7 +92,7 @@ BENCHMARK(BM_CausalScenarios);
 
 void BM_FullMethodologyComparison(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     safety::HazardModel hazards = synth::centrifuge_hazards();
     for (auto _ : state) {
         auto cmp = compare_methodologies(m, assoc, hazards, "BPCS platform");
@@ -103,7 +103,7 @@ BENCHMARK(BM_FullMethodologyComparison)->Unit(benchmark::kMillisecond);
 
 void BM_HardeningPrioritization(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     safety::HazardModel hazards = synth::centrifuge_hazards();
     for (auto _ : state) {
         auto ranked = analysis::rank_hardening_candidates(m, assoc, &hazards);
@@ -114,7 +114,7 @@ BENCHMARK(BM_HardeningPrioritization)->Unit(benchmark::kMillisecond);
 
 void BM_VectorGraphBuild(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     for (auto _ : state) {
         auto g = dashboard::build_vector_graph(m, assoc, cybok::bench::demo_corpus());
         benchmark::DoNotOptimize(g);

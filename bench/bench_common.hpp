@@ -35,6 +35,27 @@ inline const search::SearchEngine& demo_engine() {
     return engine;
 }
 
+/// One association of `m` through an inline, uncached Associator: the
+/// sequential path, with no cache to warm between iterations.
+inline search::AssociationMap associate(const model::SystemModel& m,
+                                        const search::QueryEngine& engine) {
+    search::AssocOptions options;
+    options.threads = 1;
+    options.cache_enabled = false;
+    return search::Associator(engine, options).associate(m);
+}
+
+/// Incremental re-association through an inline, uncached Associator.
+inline search::AssociationMap reassociate(const search::AssociationMap& previous,
+                                          const model::ModelDiff& diff,
+                                          const model::SystemModel& after,
+                                          const search::QueryEngine& engine) {
+    search::AssocOptions options;
+    options.threads = 1;
+    options.cache_enabled = false;
+    return search::Associator(engine, options).reassociate(previous, diff, after);
+}
+
 /// A process-wide parallel+cached associator over the demo engine, for
 /// benchmarks that measure the warm interactive path. Benchmarks that
 /// need cold-cache numbers construct their own Associator instead.

@@ -39,7 +39,7 @@ void BM_AssociateAtFidelity(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model().at_fidelity(level);
     std::size_t vectors = 0;
     for (auto _ : state) {
-        auto assoc = search::associate(m, demo_engine());
+        auto assoc = bench::associate(m, demo_engine());
         vectors = assoc.total();
         benchmark::DoNotOptimize(assoc);
     }

@@ -47,7 +47,7 @@ void BM_Capability2_Associate(benchmark::State& state) {
     static const search::SearchEngine& engine = cybok::bench::demo_engine();
     model::SystemModel m = synth::centrifuge_model();
     for (auto _ : state) {
-        auto assoc = search::associate(m, engine);
+        auto assoc = bench::associate(m, engine);
         benchmark::DoNotOptimize(assoc);
     }
 }
@@ -77,7 +77,7 @@ void BM_PipelineVsModelSize(benchmark::State& state) {
     for (auto _ : state) {
         std::string xml = graph::to_graphml(model::to_graph(m), m.name());
         benchmark::DoNotOptimize(xml);
-        auto assoc = search::associate(m, engine);
+        auto assoc = bench::associate(m, engine);
         vectors = assoc.total();
         auto posture = analysis::compute_posture(m, assoc);
         benchmark::DoNotOptimize(posture);

@@ -15,6 +15,7 @@
 #include "text/segments.hpp"
 #include "text/tokenize.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 using namespace cybok;
 
@@ -147,6 +148,69 @@ void BM_Bm25KernelTopK(benchmark::State& state) {
     state.counters["blocks_skipped"] = static_cast<double>(stats.kernel.blocks_skipped);
 }
 BENCHMARK(BM_Bm25KernelTopK)->Arg(50)->Arg(1000);
+
+// An index whose top-k query provably skips blocks: 2000 documents over
+// 24 high-frequency terms (tf 1-4) plus, in 8% of documents, one of 24
+// rare terms at weight 8 — the shape of the fault-matrix Block-Max WAND
+// oracle. A query mixing common terms with one rare term fills its top-3
+// floor from the rare term's few postings, and some of the common terms'
+// block maxima then fall below that floor.
+const text::InvertedIndex& skewed_index() {
+    static const text::InvertedIndex index = [] {
+        text::InvertedIndex idx;
+        Rng rng(99);
+        std::vector<std::string> common, rare;
+        for (int t = 0; t < 24; ++t) common.push_back("common" + std::to_string(t));
+        for (int t = 0; t < 24; ++t) rare.push_back("rare" + std::to_string(t));
+        for (int d = 0; d < 2000; ++d) {
+            idx.add_document();
+            std::vector<std::string> tokens;
+            const std::size_t n = rng.uniform(6, 10);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::string& term = common[rng.uniform(0, common.size() - 1)];
+                const std::size_t tf = rng.uniform(1, 4);
+                for (std::size_t r = 0; r < tf; ++r) tokens.push_back(term);
+            }
+            idx.add_terms(tokens);
+            if (rng.chance(0.08)) idx.add_terms({rare[rng.uniform(0, rare.size() - 1)]}, 8.0f);
+        }
+        idx.finalize();
+        return idx;
+    }();
+    return index;
+}
+
+// The pruning gate: the same top-3 query with Block-Max WAND on (timed)
+// and off (once, for blocks_unpruned). CI gates the ratio
+// blocks_decoded / blocks_unpruned, which reads 1.0 for a kernel that
+// never prunes.
+void BM_Bm25KernelPrunes(benchmark::State& state) {
+    const text::InvertedIndex& index = skewed_index();
+    const text::Bm25Scorer scorer(index);
+    const std::vector<text::SegmentView> view{text::sealed_view(index, scorer)};
+    const std::vector<std::string> query{"common0", "common1", "common2", "common3", "rare5"};
+    text::QueryScratch& scratch = text::tls_query_scratch();
+    text::KernelOptions opts;
+    opts.top_k = 3;
+    text::SegmentedStats stats;
+    for (auto _ : state) {
+        stats = {};
+        auto hits = text::query_segments(view, index.doc_count(),
+                                         text::sealed_terms(index, query), scratch, opts,
+                                         &stats);
+        benchmark::DoNotOptimize(hits);
+    }
+    text::KernelOptions unpruned = opts;
+    unpruned.prune = false;
+    text::SegmentedStats full;
+    (void)text::query_segments(view, index.doc_count(), text::sealed_terms(index, query),
+                               scratch, unpruned, &full);
+    state.counters["postings_scanned"] = static_cast<double>(stats.kernel.postings_scanned);
+    state.counters["blocks_decoded"] = static_cast<double>(stats.kernel.blocks_decoded);
+    state.counters["blocks_skipped"] = static_cast<double>(stats.kernel.blocks_skipped);
+    state.counters["blocks_unpruned"] = static_cast<double>(full.kernel.blocks_decoded);
+}
+BENCHMARK(BM_Bm25KernelPrunes);
 
 // Engine-level free-text query at full demo scale.
 void BM_RankerBm25(benchmark::State& state) {

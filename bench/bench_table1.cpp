@@ -29,7 +29,7 @@ constexpr PaperRow kPaper[] = {
 
 void print_table1() {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = bench::associate(m, demo_engine());
     auto rows = assoc.attribute_table();
 
     std::printf("Table 1 — attack vectors per SCADA model attribute (paper vs measured)\n");
@@ -106,7 +106,7 @@ BENCHMARK(BM_QueryDescriptorAttribute);
 void BM_AssociateScadaModel(benchmark::State& state) {
     model::SystemModel m = synth::centrifuge_model();
     for (auto _ : state) {
-        search::AssociationMap assoc = search::associate(m, demo_engine());
+        search::AssociationMap assoc = bench::associate(m, demo_engine());
         benchmark::DoNotOptimize(assoc);
     }
 }

@@ -18,10 +18,12 @@ namespace {
 void print_whatif() {
     std::printf("What-if refinement: Windows 7 engineering WS -> hardened RTOS\n");
     model::SystemModel before = synth::centrifuge_model();
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
+    search::AssociationMap before_assoc = bench::associate(before, demo_engine());
+    search::AssocOptions options;
+    options.threads = 1;
+    search::Associator associator(demo_engine(), options);
     analysis::WhatIfResult r = analysis::what_if(before, before_assoc,
-                                                 synth::centrifuge_model_hardened(),
-                                                 demo_engine());
+                                                 synth::centrifuge_model_hardened(), associator);
     std::printf("  verdict: %s, delta %lld vectors\n",
                 std::string(analysis::verdict_name(r.comparison.verdict)).c_str(),
                 static_cast<long long>(r.comparison.delta_total));
@@ -36,7 +38,7 @@ void print_whatif() {
 void BM_FullReassociation(benchmark::State& state) {
     model::SystemModel after = synth::centrifuge_model_hardened();
     for (auto _ : state) {
-        auto assoc = search::associate(after, demo_engine());
+        auto assoc = bench::associate(after, demo_engine());
         benchmark::DoNotOptimize(assoc);
     }
 }
@@ -45,10 +47,10 @@ BENCHMARK(BM_FullReassociation);
 void BM_IncrementalReassociation(benchmark::State& state) {
     model::SystemModel before = synth::centrifuge_model();
     model::SystemModel after = synth::centrifuge_model_hardened();
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
+    search::AssociationMap before_assoc = bench::associate(before, demo_engine());
     model::ModelDiff d = model::diff(before, after);
     for (auto _ : state) {
-        auto assoc = search::reassociate(before_assoc, d, after, demo_engine());
+        auto assoc = bench::reassociate(before_assoc, d, after, demo_engine());
         benchmark::DoNotOptimize(assoc);
     }
 }
@@ -103,10 +105,10 @@ void BM_IncrementalVsSize(benchmark::State& state) {
     extra.value = "revised supervisory role";
     after.set_attribute(first, extra);
 
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
+    search::AssociationMap before_assoc = bench::associate(before, demo_engine());
     model::ModelDiff d = model::diff(before, after);
     for (auto _ : state) {
-        auto assoc = search::reassociate(before_assoc, d, after, demo_engine());
+        auto assoc = bench::reassociate(before_assoc, d, after, demo_engine());
         benchmark::DoNotOptimize(assoc);
     }
     state.counters["components"] = static_cast<double>(cfg.components);
@@ -119,7 +121,7 @@ void BM_FullVsSize(benchmark::State& state) {
     cfg.seed = 23;
     model::SystemModel m = synth::generate_model(cfg);
     for (auto _ : state) {
-        auto assoc = search::associate(m, demo_engine());
+        auto assoc = bench::associate(m, demo_engine());
         benchmark::DoNotOptimize(assoc);
     }
     state.counters["components"] = static_cast<double>(cfg.components);

@@ -5,6 +5,11 @@ namespace cybok::analysis {
 std::vector<FidelityPoint> fidelity_sweep(const model::SystemModel& m,
                                           const search::QueryEngine& engine) {
     std::vector<FidelityPoint> out;
+    // One inline Associator for the sweep: an attribute present at several
+    // fidelity levels is queried once.
+    search::AssocOptions options;
+    options.threads = 1;
+    search::Associator associator(engine, options);
     const model::Fidelity max = m.max_fidelity();
     for (int level = 0; level <= static_cast<int>(max); ++level) {
         const model::Fidelity f = static_cast<model::Fidelity>(level);
@@ -17,7 +22,7 @@ std::vector<FidelityPoint> fidelity_sweep(const model::SystemModel& m,
             point.attributes += c.attributes.size();
         }
 
-        search::AssociationMap assoc = search::associate(projected, engine);
+        search::AssociationMap assoc = associator.associate(projected);
         point.attack_patterns = assoc.total(search::VectorClass::AttackPattern);
         point.weaknesses = assoc.total(search::VectorClass::Weakness);
         point.vulnerabilities = assoc.total(search::VectorClass::Vulnerability);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "analysis/posture.hpp"
@@ -30,22 +31,20 @@ std::string round1(double v) {
 }
 
 /// Analyze one already-generated system into its report slot. Everything
-/// here is a pure function of (engine, system, options) — the sequential
-/// reference association path keeps the result independent of sibling
-/// tasks and thread count.
-void analyze_system(const search::QueryEngine& engine, const synth::ZooSystem& sys,
+/// here is a pure function of (engine, system, options): the fleet's
+/// shared Associator serves content-addressed results, so a cache hit
+/// from a sibling system is byte-identical to a fresh query.
+void analyze_system(search::Associator& associator, const synth::ZooSystem& sys,
                     const FleetOptions& options, FleetSystemReport& report,
                     search::AssocMetrics& metrics) {
     const model::SystemModel& m = sys.model;
     report.components = m.component_count();
     report.connectors = m.connectors().size();
 
-    const search::AssociationMap assoc = search::associate(m, engine);
+    const search::AssociationMap assoc = associator.associate(m);
     metrics.components += assoc.components.size();
-    for (const search::ComponentAssociation& ca : assoc.components) {
+    for (const search::ComponentAssociation& ca : assoc.components)
         metrics.attributes += ca.attributes.size();
-        metrics.queries_run += ca.attributes.size();
-    }
     metrics.pattern_candidates += assoc.total(search::VectorClass::AttackPattern);
     metrics.weakness_candidates += assoc.total(search::VectorClass::Weakness);
     metrics.vulnerability_candidates += assoc.total(search::VectorClass::Vulnerability);
@@ -100,16 +99,27 @@ void analyze_system(const search::QueryEngine& engine, const synth::ZooSystem& s
 }
 
 /// The shared batch driver: one task per system, each writing its own
-/// pre-sized slot, then a deterministic sort + aggregation pass.
-FleetResult run_fleet(const FleetOptions& options, std::size_t count,
+/// pre-sized slot, then a deterministic sort + aggregation pass. Every
+/// system associates through one inline Associator, so the lanes share one
+/// query cache: a platform or descriptor that recurs across the fleet is
+/// queried once per run. The cache lives for this call only.
+FleetResult run_fleet(const search::QueryEngine& engine, const FleetOptions& options,
+                      std::size_t count,
                       const std::function<void(std::size_t, FleetSystemReport&)>& describe,
-                      const std::function<void(std::size_t, FleetSystemReport&,
-                                               search::AssocMetrics&)>& task) {
+                      const std::function<void(std::size_t, search::Associator&,
+                                               FleetSystemReport&, search::AssocMetrics&)>&
+                          task) {
     FleetResult result;
     result.systems = count;
 
     std::vector<FleetSystemReport> reports(count);
     std::vector<search::AssocMetrics> metrics(count);
+    search::AssocOptions assoc_options;
+    assoc_options.threads = 1;
+    // Never evict within a run: the cache then ends holding exactly one
+    // entry per distinct attribute key, which is what queries_run reports.
+    assoc_options.cache_capacity = std::numeric_limits<std::size_t>::max();
+    search::Associator associator(engine, assoc_options);
     util::ThreadPool pool(options.threads);
     result.threads = pool.thread_count();
     pool.parallel_for(count, [&](std::size_t i) {
@@ -122,7 +132,7 @@ FleetResult run_fleet(const FleetOptions& options, std::size_t count,
         try {
             CYBOK_FAULT_POINT("analysis.fleet.task",
                               Error("injected: fleet task failed for " + reports[i].name));
-            task(i, reports[i], metrics[i]);
+            task(i, associator, reports[i], metrics[i]);
         } catch (const std::exception& e) {
             reports[i].failed = true;
             reports[i].error = e.what();
@@ -157,6 +167,10 @@ FleetResult run_fleet(const FleetOptions& options, std::size_t count,
         result.flow_totals.reused_components += r.flow_counts.reused_components;
     }
     for (const search::AssocMetrics& m : metrics) result.metrics.merge(m);
+    // The queries the run needed: one per distinct attribute key. Counting
+    // executed queries instead would depend on thread interleaving (two
+    // lanes may miss the same key at once); the cache's final size does not.
+    result.metrics.queries_run = associator.cache().size();
     result.metrics.threads = result.threads;
     result.ranking = std::move(reports);
     return result;
@@ -271,29 +285,29 @@ FleetResult analyze_fleet(const search::QueryEngine& engine, const FleetOptions&
         configs[i].platform_ref_prob = options.platform_ref_prob;
         configs[i].parameter_prob = options.parameter_prob;
     }
-    return run_fleet(options, configs.size(),
+    return run_fleet(engine, options, configs.size(),
                      [&](std::size_t i, FleetSystemReport& report) {
                          report.name = synth::zoo_system_name(configs[i]);
                          report.domain = std::string(synth::zoo_domain_name(configs[i].domain));
                          report.seed = configs[i].seed;
                      },
-                     [&](std::size_t i, FleetSystemReport& report,
-                         search::AssocMetrics& metrics) {
+                     [&](std::size_t i, search::Associator& associator,
+                         FleetSystemReport& report, search::AssocMetrics& metrics) {
                          const synth::ZooSystem sys = synth::generate_zoo_system(configs[i]);
-                         analyze_system(engine, sys, options, report, metrics);
+                         analyze_system(associator, sys, options, report, metrics);
                      });
 }
 
 FleetResult analyze_fleet(const search::QueryEngine& engine,
                           const std::vector<synth::ZooSystem>& fleet,
                           const FleetOptions& options) {
-    return run_fleet(options, fleet.size(),
+    return run_fleet(engine, options, fleet.size(),
                      [&](std::size_t i, FleetSystemReport& report) {
                          report.name = fleet[i].model.name();
                      },
-                     [&](std::size_t i, FleetSystemReport& report,
-                         search::AssocMetrics& metrics) {
-                         analyze_system(engine, fleet[i], options, report, metrics);
+                     [&](std::size_t i, search::Associator& associator,
+                         FleetSystemReport& report, search::AssocMetrics& metrics) {
+                         analyze_system(associator, fleet[i], options, report, metrics);
                      });
 }
 

@@ -6,10 +6,12 @@
 // system, fanned across the ThreadPool, folded into a byte-deterministic
 // ranking with per-system AssocMetrics/FlowCounts aggregation.
 //
-// Determinism contract: analyze_fleet() output (including fingerprint())
-// is byte-identical for equal inputs at any thread count. Each system's
-// task writes a pre-sized slot and uses the sequential reference
-// association path, so no cross-task state can leak into results.
+// Determinism contract: analyze_fleet() output (including fingerprint()
+// and to_json()) is byte-identical for equal inputs at any thread count.
+// Each system's task writes a pre-sized slot. All systems of one call
+// share one search::Associator and its query cache; cache keys are
+// content-addressed and tagged with the engine generation, so a hit from a
+// sibling system is the same bytes a fresh query would return.
 //
 // Degradation contract: a per-system failure (fault site
 // `analysis.fleet.task`, or `synth.zoo.gen` inside generation) is recorded
@@ -114,7 +116,11 @@ struct FleetResult {
     std::size_t total_vectors = 0;
     std::size_t total_tainted = 0;
     std::size_t total_chokepoints = 0;
-    /// Per-system AssocMetrics merged (queries, candidates, components).
+    /// Association counts, each a pure function of the inputs: components
+    /// and attributes visited, candidates per record class, and
+    /// queries_run, the distinct attribute keys the run queried (a key
+    /// shared by several systems counts once). No timings, no cache
+    /// hit/miss split: those depend on thread interleaving.
     search::AssocMetrics metrics;
     /// Per-system FlowCounts *summed* field-wise (FlowCounts::merge adopts
     /// rather than sums, so the fleet does its own arithmetic).

@@ -20,19 +20,14 @@ struct WhatIfResult {
 };
 
 /// Evaluate a candidate architecture `after` against the current state
-/// (`before` + its association map). Association is incremental: only
-/// components the diff touches are re-queried.
-[[nodiscard]] WhatIfResult what_if(const model::SystemModel& before,
-                                   const search::AssociationMap& before_associations,
-                                   const model::SystemModel& after,
-                                   const search::QueryEngine& engine);
-
-/// Same, but re-association runs through the parallel, cached Associator:
-/// unchanged attributes of touched components hit the query cache, and the
-/// refined components' superseded cache entries are invalidated (see
-/// Associator::reassociate). This is the interactive-dashboard path — the
-/// paper's loop "evaluates different architectures iteratively", so each
-/// refinement pays only for what actually changed.
+/// (`before` + its association map). Re-association is incremental and
+/// runs through the cached Associator: only components the diff touches
+/// are re-queried, unchanged attributes of touched components hit the
+/// query cache, and the refined components' superseded cache entries are
+/// invalidated (see Associator::reassociate). This is the
+/// interactive-dashboard path — the paper's loop "evaluates different
+/// architectures iteratively", so each refinement pays only for what
+/// actually changed.
 [[nodiscard]] WhatIfResult what_if(const model::SystemModel& before,
                                    const search::AssociationMap& before_associations,
                                    const model::SystemModel& after,

@@ -88,8 +88,12 @@ std::shared_ptr<const SharedEngine> compact(const std::shared_ptr<const SharedEn
     if (current->segmented == nullptr) return current; // already a base generation
     auto next = std::make_shared<SharedEngine>();
     next->owned_corpus = std::make_unique<kb::Corpus>(current->segmented->corpus());
-    next->engine = std::make_unique<search::SearchEngine>(*next->owned_corpus,
-                                                          current->segmented->options());
+    // One build lane: a fold runs beside live traffic (the server's admin
+    // thread), and a parallel build would take cores and peak memory from
+    // the request lanes. The engine is bit-identical at any lane count.
+    search::EngineOptions options = current->segmented->options();
+    options.build_threads = 1;
+    next->engine = std::make_unique<search::SearchEngine>(*next->owned_corpus, options);
     return next;
 }
 

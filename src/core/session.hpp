@@ -132,9 +132,9 @@ struct SharedEngine {
 /// its merged corpus (queries against the result are bit-identical by
 /// construction — it *is* the rebuild the segmented engine mirrors).
 /// Returns `current` unchanged when there is nothing to fold. Typically
-/// run on a background lane (util::ThreadPool) while the segmented
-/// generation keeps serving; the engine build itself fans out across the
-/// build pool per `current`'s engine options.
+/// run on a background thread (the server's admin thread) while the
+/// segmented generation keeps serving; the build runs on that one thread
+/// (build_threads = 1), leaving the other cores to live requests.
 [[nodiscard]] std::shared_ptr<const SharedEngine> compact(
     const std::shared_ptr<const SharedEngine>& current);
 

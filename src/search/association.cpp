@@ -68,54 +68,6 @@ std::vector<AssociationMap::TableRow> AssociationMap::attribute_table() const {
     return rows;
 }
 
-namespace {
-
-ComponentAssociation associate_component(const model::Component& c, const QueryEngine& engine) {
-    ComponentAssociation out;
-    out.component = c.name;
-    for (const model::Attribute& attr : c.attributes) {
-        AttributeAssociation aa;
-        aa.attribute_name = attr.name;
-        aa.attribute_value = attr.value;
-        aa.matches = engine.query_attribute(attr);
-        out.attributes.push_back(std::move(aa));
-    }
-    return out;
-}
-
-} // namespace
-
-AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine) {
-    AssociationMap map;
-    for (const model::Component& c : m.components()) {
-        if (!c.id.valid()) continue;
-        map.components.push_back(associate_component(c, engine));
-    }
-    return map;
-}
-
-AssociationMap reassociate(const AssociationMap& previous, const model::ModelDiff& diff,
-                           const model::SystemModel& after, const QueryEngine& engine) {
-    std::set<std::string> touched;
-    for (const std::string& name : diff.touched_components()) touched.insert(name);
-    std::set<std::string> removed(diff.removed_components.begin(),
-                                  diff.removed_components.end());
-
-    AssociationMap map;
-    for (const model::Component& c : after.components()) {
-        if (!c.id.valid()) continue;
-        if (!touched.contains(c.name)) {
-            if (const ComponentAssociation* prev = previous.find(c.name)) {
-                map.components.push_back(*prev);
-                continue;
-            }
-        }
-        map.components.push_back(associate_component(c, engine));
-    }
-    (void)removed; // removed components simply don't appear in `after`
-    return map;
-}
-
 // ---------------------------------------------------------- Associator
 
 /// One attribute query: where the result goes and what to ask.

@@ -3,18 +3,15 @@
 // vectors to the system model" — with support for incremental
 // re-association after a model edit (the dashboard's on-the-fly loop).
 //
-// Two execution paths exist:
-//   * the free functions associate()/reassociate(): sequential, uncached,
-//     zero-setup — the reference semantics;
-//   * the Associator class: fans attribute queries out across a thread
-//     pool, memoizes per-attribute results in a QueryCache, and records
-//     AssocMetrics — the interactive-speed path the what-if loop needs.
-// Both produce byte-identical AssociationMaps (tests/test_concurrency.cpp
-// hammers this equivalence).
+// search::Associator is the one association path: sessions, the fleet,
+// the serve layer and the fidelity sweep all run through it. It fans
+// attribute queries out across a thread pool (inline at threads == 1),
+// memoizes per-attribute results in a QueryCache and records AssocMetrics.
+// Output is byte-identical at any thread count; tests/oracle/ keeps the
+// plain sequential loop it is checked against.
 
 #pragma once
 
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -65,21 +62,11 @@ struct AssociationMap {
     [[nodiscard]] std::vector<TableRow> attribute_table() const;
 };
 
-/// Associate the whole model.
-[[nodiscard]] AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine);
-
-/// Incremental re-association after a model edit: only components named in
-/// the diff are re-queried; associations of untouched components are
-/// copied from `previous`. Equivalent to associate(after, engine)
-/// whenever `diff` is exactly diff(before, after).
-[[nodiscard]] AssociationMap reassociate(const AssociationMap& previous,
-                                         const model::ModelDiff& diff,
-                                         const model::SystemModel& after,
-                                         const QueryEngine& engine);
-
 /// Execution knobs for the Associator.
 struct AssocOptions {
     /// Lanes to fan attribute queries across (0 = hardware concurrency).
+    /// At 1 every query runs inline on the calling thread (the pool has no
+    /// workers), so concurrent callers of one instance run concurrently.
     std::size_t threads = 0;
     /// Memoize attribute query results across attributes and runs.
     bool cache_enabled = true;
@@ -102,12 +89,12 @@ struct AssocOptions {
 /// and can never be stale; see QueryCache).
 ///
 /// Result ordering is deterministic: each task writes its own pre-sized
-/// slot, so output is byte-identical to the sequential free functions
+/// slot, so output is byte-identical to the sequential reference loop
 /// regardless of thread count or cache state.
 ///
 /// Thread-safety: a single Associator may be shared by concurrent
-/// callers; runs serialize on the pool while cache and metrics updates
-/// are internally locked.
+/// callers; cache and metrics updates are internally locked. Runs on a
+/// pool with workers serialize on it; inline runs (one lane) do not.
 class Associator {
 public:
     explicit Associator(const QueryEngine& engine, AssocOptions options = {});
@@ -127,10 +114,13 @@ public:
     [[nodiscard]] const AssocOptions& options() const noexcept { return options_; }
     [[nodiscard]] std::size_t thread_count() const noexcept { return pool_.thread_count(); }
 
-    /// Parallel equivalent of search::associate().
+    /// Associate the whole model.
     [[nodiscard]] AssociationMap associate(const model::SystemModel& m);
 
-    /// Parallel equivalent of search::reassociate(). Cache entries of the
+    /// Incremental re-association after a model edit: only components
+    /// named in the diff are re-queried; associations of untouched
+    /// components are copied from `previous`. Equivalent to associate(after)
+    /// whenever `diff` is exactly diff(before, after). Cache entries of the
     /// diff's touched and removed components are invalidated before the
     /// touched components are re-queried.
     [[nodiscard]] AssociationMap reassociate(const AssociationMap& previous,

@@ -9,11 +9,15 @@ std::optional<std::vector<Match>> QueryCache::get(const std::string& key,
     // Models a poisoned or unreadable entry; the Associator treats the
     // typed failure as a miss and recomputes.
     CYBOK_FAULT_POINT("search.cache.get", Error("injected: cache get failed"));
-    std::lock_guard<std::mutex> lk(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    component_keys_[std::string(component)].insert(key);
-    return it->second;
+    std::shared_ptr<const std::vector<Match>> entry;
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        auto it = entries_.find(key);
+        if (it == entries_.end()) return std::nullopt;
+        entry = it->second;
+        component_keys_[std::string(component)].insert(key);
+    }
+    return *entry;
 }
 
 void QueryCache::put(const std::string& key, std::vector<Match> value,
@@ -21,9 +25,10 @@ void QueryCache::put(const std::string& key, std::vector<Match> value,
     // Fires before any mutation, so a failed put never leaves a partial
     // entry; the Associator returns the result uncached.
     CYBOK_FAULT_POINT("search.cache.put", Error("injected: cache put failed"));
+    auto entry = std::make_shared<const std::vector<Match>>(std::move(value));
     std::lock_guard<std::mutex> lk(mutex_);
-    auto [it, inserted] = entries_.try_emplace(key, std::move(value));
-    if (!inserted) it->second = std::move(value);
+    auto [it, inserted] = entries_.try_emplace(key, entry);
+    if (!inserted) it->second = std::move(entry);
     else insertion_order_.push_back(key);
     component_keys_[std::string(component)].insert(key);
     evict_to_capacity_locked();

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -29,7 +30,9 @@ namespace cybok::search {
 
 /// Thread-safe FIFO-bounded map from query key to match list. All methods
 /// lock internally; safe for concurrent mixed get/put from the parallel
-/// association fan-out.
+/// association fan-out. Entries are immutable and shared, so a hit copies
+/// its match list after the lock is released: lanes sharing one cache
+/// contend only for the lookup, never for the copy.
 class QueryCache {
 public:
     explicit QueryCache(std::size_t capacity = 1 << 14) : capacity_(capacity) {}
@@ -58,7 +61,7 @@ private:
 
     mutable std::mutex mutex_;
     std::size_t capacity_;
-    std::unordered_map<std::string, std::vector<Match>> entries_;
+    std::unordered_map<std::string, std::shared_ptr<const std::vector<Match>>> entries_;
     std::deque<std::string> insertion_order_;
     /// component name -> keys it has read or written (may contain keys
     /// already evicted; erase is a no-op then).

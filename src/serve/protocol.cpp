@@ -17,7 +17,7 @@ const std::vector<ErrorCodeInfo>& known_error_codes() {
         {ErrorCode::ModelInvalid, "model_invalid",
          "model DSL failed to parse or validate; nothing was created or changed"},
         {ErrorCode::Overloaded, "overloaded",
-         "bounded request queue is full; retry with backoff"},
+         "request queue and admin backlog are full; retry with backoff"},
         {ErrorCode::SessionLimit, "session_limit",
          "registry is at max_sessions; close a session or raise the cap"},
         {ErrorCode::SwapFailed, "swap_failed",

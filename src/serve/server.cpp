@@ -37,6 +37,27 @@ std::int64_t peek_id(std::string_view payload) noexcept {
     return 0;
 }
 
+/// The generation-changing requests: they run on the admin thread, never
+/// on a request lane.
+bool is_admin(MsgType type) noexcept {
+    return type == MsgType::SnapshotSwap || type == MsgType::DeltaApply ||
+           type == MsgType::Compact;
+}
+
+/// Run `fn` and map any failure to a typed error response for `id`.
+template <class Fn>
+json::Value guarded(std::int64_t id, Fn&& fn) {
+    try {
+        return fn();
+    } catch (const ProtocolError& e) {
+        return error_response(id, e.code(), e.what());
+    } catch (const Error& e) {
+        return error_response(id, ErrorCode::Internal, e.what());
+    } catch (const std::exception& e) {
+        return error_response(id, ErrorCode::Internal, std::string("unexpected: ") + e.what());
+    }
+}
+
 json::Value posture_row(const analysis::ComponentPosture& p) {
     json::Value row;
     row["component"] = p.component;
@@ -111,8 +132,10 @@ void Server::start() {
 
     running_.store(true, std::memory_order_release);
     stopping_.store(false, std::memory_order_release);
+    lanes_done_ = false;
     pool_ = std::make_unique<util::ThreadPool>(options_.lanes);
     io_thread_ = std::thread([this] { io_loop(); });
+    admin_thread_ = std::thread([this] { admin_loop(); });
     // One parallel_for over `lanes` indices with one index per lane: each
     // pool thread (plus this dispatcher) parks in consume_loop until
     // shutdown — the pool IS the worker-lane set.
@@ -135,6 +158,14 @@ void Server::stop() {
 void Server::wait() {
     if (io_thread_.joinable()) io_thread_.join();
     if (dispatch_thread_.joinable()) dispatch_thread_.join();
+    // The lanes have drained the request queue, so nothing can join the
+    // admin backlog any more; the admin thread finishes it and exits.
+    {
+        std::lock_guard<std::mutex> lk(queue_mutex_);
+        lanes_done_ = true;
+    }
+    admin_cv_.notify_all();
+    if (admin_thread_.joinable()) admin_thread_.join();
     pool_.reset();
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
@@ -245,7 +276,7 @@ void Server::enqueue(const std::shared_ptr<Connection>& conn, std::string payloa
     }
     {
         std::unique_lock<std::mutex> lk(queue_mutex_);
-        if (queue_.size() >= options_.queue_capacity) {
+        if (queue_.size() + admin_queue_.size() >= options_.queue_capacity) {
             lk.unlock();
             // Admission control: reject at the door instead of buffering —
             // the IO thread stays responsive and the client gets a typed
@@ -281,26 +312,46 @@ void Server::consume_loop() {
 }
 
 void Server::handle(const WorkItem& item) {
-    std::int64_t id = 0;
-    bool is_shutdown = false;
-    json::Value response;
-    try {
-        const Request req = decode_request(item.payload);
-        id = req.id;
-        is_shutdown = req.type == MsgType::Shutdown;
-        response = execute(req);
-    } catch (const ProtocolError& e) {
-        response = error_response(id, e.code(), e.what());
-    } catch (const Error& e) {
-        response = error_response(id, ErrorCode::Internal, e.what());
-    } catch (const std::exception& e) {
-        response = error_response(id, ErrorCode::Internal,
-                                  std::string("unexpected: ") + e.what());
+    Request req;
+    bool decoded = false;
+    json::Value response = guarded(0, [&] {
+        req = decode_request(item.payload);
+        decoded = true;
+        return json::Value();
+    });
+    if (decoded && is_admin(req.type)) {
+        // A generation change can take a full rebuild (compact); it runs
+        // on the admin thread so this lane goes straight back to requests.
+        // The item was admitted against queue_capacity and still counts
+        // against it while it waits in the backlog.
+        {
+            std::lock_guard<std::mutex> lk(queue_mutex_);
+            admin_queue_.push_back(AdminItem{item.conn, std::move(req)});
+        }
+        admin_cv_.notify_one();
+        return;
     }
+    if (decoded) response = guarded(req.id, [&] { return execute(req); });
     write_response(item.conn, response);
     // Shutdown stops *after* its own response is on the wire, so the
     // requesting client always sees the acknowledgement.
-    if (is_shutdown) stop();
+    if (decoded && req.type == MsgType::Shutdown) stop();
+}
+
+// -- admin thread ------------------------------------------------------------
+
+void Server::admin_loop() {
+    for (;;) {
+        AdminItem item;
+        {
+            std::unique_lock<std::mutex> lk(queue_mutex_);
+            admin_cv_.wait(lk, [this] { return !admin_queue_.empty() || lanes_done_; });
+            if (admin_queue_.empty()) return; // lanes gone and backlog drained
+            item = std::move(admin_queue_.front());
+            admin_queue_.pop_front();
+        }
+        write_response(item.conn, guarded(item.req.id, [&] { return execute(item.req); }));
+    }
 }
 
 json::Value Server::execute(const Request& req) {

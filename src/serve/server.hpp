@@ -11,7 +11,16 @@
 //            │ read,      │←─ responses ─│  executes on a pinned     │
 //            │ frame      │   written    │  generation, writes the   │
 //            │ decode     │   directly   │  response)                │
-//            └────────────┘              └───────────────────────────┘
+//            └────────────┘      ↑       └─────────────┬─────────────┘
+//                                │           swap/delta/compact
+//                                │           (admin backlog)
+//                                │       ┌─────────────▼─────────────┐
+//                                └───────│ admin thread              │
+//                                        │ (one at a time, arrival   │
+//                                        │  order: builds and flips  │
+//                                        │  generations, writes the  │
+//                                        │  response)                │
+//                                        └───────────────────────────┘
 //
 // One IO thread owns every socket read: it accepts connections, feeds
 // bytes into each connection's FrameDecoder, and enqueues complete frames
@@ -22,15 +31,25 @@
 // pipelined requests on one connection may interleave in any order;
 // clients correlate by `id`).
 //
-// Admission control: when the bounded queue is full the IO thread rejects
-// the frame immediately with a typed `overloaded` error response — the
-// request never enters the system, so an overloaded server stays
-// responsive and sheds load instead of building an unbounded backlog.
+// Admin thread: a lane that decodes snapshot.swap, delta.apply or compact
+// hands it to one admin thread instead of executing it, so a compaction
+// rebuild (hundreds of milliseconds) or a snapshot thaw never holds a lane
+// while queries queue behind it. The admin thread executes these requests
+// one at a time in the order they reach it and writes each response. A
+// request pipelined after an admin request may therefore be answered
+// before it, even with one lane.
+//
+// Admission control: when the request queue and the admin backlog
+// together hold queue_capacity requests, the IO thread rejects the frame
+// immediately with a typed `overloaded` error response — the request never
+// enters the system, so an overloaded server stays responsive and sheds
+// load instead of building an unbounded backlog.
 //
 // Graceful shutdown: `shutdown` (or stop()) stops the accept loop,
-// rejects queued-but-new work with `shutting_down`, drains the in-flight
-// queue, and joins every thread. In-flight requests complete and their
-// responses are written before the sockets close.
+// rejects queued-but-new work with `shutting_down`, drains the request
+// queue and then the admin backlog, and joins every thread. In-flight
+// requests complete and their responses are written before the sockets
+// close.
 //
 // Fault sites (ARCHITECTURE.md §6): serve.accept (a failed accept drops
 // that connection, the listener keeps accepting) and serve.response.write
@@ -65,8 +84,9 @@ struct ServerOptions {
     std::uint16_t port = 0;
     /// Worker lanes executing requests (0 = hardware concurrency).
     std::size_t lanes = 0;
-    /// Bounded request-queue capacity; frames beyond it are rejected with
-    /// a typed `overloaded` response (admission control, not buffering).
+    /// Bounded request-queue capacity, shared with the admin backlog;
+    /// frames beyond it are rejected with a typed `overloaded` response
+    /// (admission control, not buffering).
     std::size_t queue_capacity = 256;
     /// Per-frame payload ceiling handed to each connection's FrameDecoder.
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -97,8 +117,8 @@ public:
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /// Bind, listen, and spawn the IO thread + worker lanes. Throws
-    /// IoError when the address cannot be bound.
+    /// Bind, listen, and spawn the IO thread, the worker lanes and the
+    /// admin thread. Throws IoError when the address cannot be bound.
     void start();
 
     /// The bound TCP port (valid after start(); resolves port 0).
@@ -109,6 +129,7 @@ public:
     void stop();
 
     /// Block until every thread has exited (after stop() or `shutdown`).
+    /// Admin requests still queued when stop() was called run first.
     void wait();
 
     [[nodiscard]] bool running() const noexcept {
@@ -140,14 +161,22 @@ private:
         std::string payload;
     };
 
+    /// A decoded generation-changing request waiting for the admin thread.
+    struct AdminItem {
+        std::shared_ptr<Connection> conn;
+        Request req;
+    };
+
     void io_loop();
     void consume_loop();
+    void admin_loop();
     /// Read-ready: drain the socket into the decoder, enqueue frames.
     /// Returns false when the connection must be dropped.
     [[nodiscard]] bool drain_connection(const std::shared_ptr<Connection>& conn);
     void enqueue(const std::shared_ptr<Connection>& conn, std::string payload);
     void handle(const WorkItem& item);
-    /// Execute one decoded request (worker lane). Returns the response.
+    /// Execute one decoded request (worker lane or admin thread). Returns
+    /// the response.
     [[nodiscard]] json::Value execute(const Request& req);
 
     json::Value handle_hello();
@@ -176,9 +205,12 @@ private:
     int wake_pipe_[2] = {-1, -1}; ///< self-pipe: stop() wakes the poll loop
     std::uint16_t bound_port_ = 0;
 
-    std::mutex queue_mutex_;
+    std::mutex queue_mutex_; ///< guards both queues and lanes_done_
     std::condition_variable queue_cv_;
     std::deque<WorkItem> queue_;
+    std::condition_variable admin_cv_;
+    std::deque<AdminItem> admin_queue_; ///< counts against queue_capacity
+    bool lanes_done_ = false;           ///< set by wait() once every lane has exited
 
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
@@ -186,6 +218,7 @@ private:
     std::unique_ptr<util::ThreadPool> pool_;
     std::thread io_thread_;
     std::thread dispatch_thread_; ///< enters pool_->parallel_for(lanes, consume_loop)
+    std::thread admin_thread_;    ///< runs snapshot.swap / delta.apply / compact in order
 
     ServerStats stats_;
 };

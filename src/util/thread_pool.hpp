@@ -21,8 +21,9 @@ namespace cybok::util {
 /// Fixed-size worker pool. Construction spawns `threads - 1` workers (the
 /// calling thread participates in every parallel_for, so `threads == 1`
 /// means "no workers, run inline"). Safe to call parallel_for from many
-/// threads concurrently: calls are serialized internally, each runs to
-/// completion with the full pool.
+/// threads concurrently: on a pool with workers calls are serialized
+/// internally, each runs to completion with the full pool; without
+/// workers each call runs inline on its caller, concurrently.
 class ThreadPool {
 public:
     /// `threads == 0` selects hardware_concurrency (at least 1).

@@ -6,6 +6,7 @@
 #include "analysis/fidelity.hpp"
 #include "analysis/posture.hpp"
 #include "analysis/whatif.hpp"
+#include "oracle/association_reference.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -54,7 +55,7 @@ search::AssociationMap stub_assoc(
 
 TEST(Posture, ComputesCountsAndExposure) {
     model::SystemModel m = synth::centrifuge_model();
-    search::AssociationMap assoc = search::associate(m, demo_engine());
+    search::AssociationMap assoc = oracle::associate(m, demo_engine());
     SecurityPosture posture = compute_posture(m, assoc);
 
     ASSERT_EQ(posture.components.size(), 6u);
@@ -258,11 +259,23 @@ TEST(FidelitySweep, FunctionalLevelStillFindsPatterns) {
 
 // ----------------------------------------------------------------- what-if
 
+namespace {
+/// what_if through a fresh inline Associator over the demo engine.
+WhatIfResult what_if_inline(const model::SystemModel& before,
+                            const search::AssociationMap& before_assoc,
+                            const model::SystemModel& after) {
+    search::AssocOptions options;
+    options.threads = 1;
+    search::Associator associator(demo_engine(), options);
+    return what_if(before, before_assoc, after, associator);
+}
+} // namespace
+
 TEST(WhatIf, HardenedArchitectureImproves) {
     model::SystemModel before = synth::centrifuge_model();
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
+    search::AssociationMap before_assoc = oracle::associate(before, demo_engine());
     WhatIfResult result =
-        what_if(before, before_assoc, synth::centrifuge_model_hardened(), demo_engine());
+        what_if_inline(before, before_assoc, synth::centrifuge_model_hardened());
 
     EXPECT_FALSE(result.diff.empty());
     EXPECT_EQ(result.comparison.verdict, Verdict::Improved);
@@ -272,18 +285,17 @@ TEST(WhatIf, HardenedArchitectureImproves) {
 
 TEST(WhatIf, NoChangeIsUnchanged) {
     model::SystemModel before = synth::centrifuge_model();
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
-    WhatIfResult result = what_if(before, before_assoc, synth::centrifuge_model(),
-                                  demo_engine());
+    search::AssociationMap before_assoc = oracle::associate(before, demo_engine());
+    WhatIfResult result = what_if_inline(before, before_assoc, synth::centrifuge_model());
     EXPECT_TRUE(result.diff.empty());
     EXPECT_EQ(result.comparison.verdict, Verdict::Unchanged);
 }
 
 TEST(WhatIf, MatchesFullRecomputation) {
     model::SystemModel before = synth::centrifuge_model();
-    search::AssociationMap before_assoc = search::associate(before, demo_engine());
+    search::AssociationMap before_assoc = oracle::associate(before, demo_engine());
     model::SystemModel after = synth::centrifuge_model_hardened();
-    WhatIfResult result = what_if(before, before_assoc, after, demo_engine());
-    search::AssociationMap full = search::associate(after, demo_engine());
+    WhatIfResult result = what_if_inline(before, before_assoc, after);
+    search::AssociationMap full = oracle::associate(after, demo_engine());
     EXPECT_EQ(result.after_associations.total(), full.total());
 }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "baseline/comparison.hpp"
+#include "oracle/association_reference.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -142,7 +143,7 @@ TEST(MethodologyComparison, BaselineHasZeroConsequenceLinks) {
     kb::Corpus corpus = synth::generate_corpus(synth::CorpusProfile::scaled(0.1, 99));
     model::SystemModel m = synth::centrifuge_model();
     search::SearchEngine engine(corpus);
-    search::AssociationMap assoc = search::associate(m, engine);
+    search::AssociationMap assoc = oracle::associate(m, engine);
     safety::HazardModel hazards = synth::centrifuge_hazards();
 
     MethodologyComparison cmp = compare_methodologies(m, assoc, hazards, "BPCS platform");

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <thread>
 
+#include "oracle/association_reference.hpp"
 #include "search/association.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/model_gen.hpp"
@@ -63,8 +64,8 @@ TEST(Concurrency, ParallelQueriesMatchSerialResults) {
     // Serial reference results.
     model::SystemModel scada = synth::centrifuge_model();
     model::SystemModel uav = synth::uav_model();
-    const std::size_t scada_total = search::associate(scada, engine).total();
-    const std::size_t uav_total = search::associate(uav, engine).total();
+    const std::size_t scada_total = oracle::associate(scada, engine).total();
+    const std::size_t uav_total = oracle::associate(uav, engine).total();
 
     constexpr int kThreads = 8;
     constexpr int kRounds = 4;
@@ -77,7 +78,7 @@ TEST(Concurrency, ParallelQueriesMatchSerialResults) {
                 const bool use_scada = (t + round) % 2 == 0;
                 model::SystemModel m =
                     use_scada ? synth::centrifuge_model() : synth::uav_model();
-                std::size_t total = search::associate(m, engine).total();
+                std::size_t total = oracle::associate(m, engine).total();
                 std::size_t expected = use_scada ? scada_total : uav_total;
                 if (total != expected) mismatches.fetch_add(1);
             }
@@ -90,7 +91,7 @@ TEST(Concurrency, ParallelQueriesMatchSerialResults) {
 TEST(Concurrency, ParallelPipelineByteIdenticalToSequential) {
     search::SearchEngine engine(shared_corpus());
     model::SystemModel scada = synth::centrifuge_model();
-    const std::string reference = fingerprint(search::associate(scada, engine));
+    const std::string reference = fingerprint(oracle::associate(scada, engine));
 
     for (bool cache_on : {false, true}) {
         for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
@@ -114,47 +115,52 @@ TEST(Concurrency, ParallelPipelineByteIdenticalToSequential) {
 TEST(Concurrency, ManyThreadsHammerOneSharedAssociator) {
     // The hard case: one Associator instance (one pool, one cache, one
     // metrics block) driven by many client threads at once, mixing two
-    // models so cache keys interleave. Every result must be byte-identical
-    // to the sequential reference.
+    // models so cache keys interleave. At threads = 1 (the fleet's mode)
+    // the pool has no workers and the callers run inline, concurrently; at
+    // 4 they serialize on the pool. Every result must be byte-identical to
+    // the sequential reference.
     search::SearchEngine engine(shared_corpus());
     model::SystemModel scada = synth::centrifuge_model();
     model::SystemModel uav = synth::uav_model();
-    const std::string scada_ref = fingerprint(search::associate(scada, engine));
-    const std::string uav_ref = fingerprint(search::associate(uav, engine));
+    const std::string scada_ref = fingerprint(oracle::associate(scada, engine));
+    const std::string uav_ref = fingerprint(oracle::associate(uav, engine));
 
-    search::AssocOptions opts;
-    opts.threads = 4;
-    search::Associator assoc(engine, opts);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        search::AssocOptions opts;
+        opts.threads = threads;
+        search::Associator assoc(engine, opts);
 
-    constexpr int kThreads = 8;
-    constexpr int kRounds = 3;
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            for (int round = 0; round < kRounds; ++round) {
-                const bool use_scada = (t + round) % 2 == 0;
-                const model::SystemModel& m = use_scada ? scada : uav;
-                const std::string& expected = use_scada ? scada_ref : uav_ref;
-                if (fingerprint(assoc.associate(m)) != expected) mismatches.fetch_add(1);
-            }
-        });
+        constexpr int kThreads = 8;
+        constexpr int kRounds = 3;
+        std::atomic<int> mismatches{0};
+        std::vector<std::thread> workers;
+        workers.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            workers.emplace_back([&, t] {
+                for (int round = 0; round < kRounds; ++round) {
+                    const bool use_scada = (t + round) % 2 == 0;
+                    const model::SystemModel& m = use_scada ? scada : uav;
+                    const std::string& expected = use_scada ? scada_ref : uav_ref;
+                    if (fingerprint(assoc.associate(m)) != expected) mismatches.fetch_add(1);
+                }
+            });
+        }
+        for (std::thread& w : workers) w.join();
+        EXPECT_EQ(mismatches.load(), 0);
+        search::AssocMetrics m = assoc.metrics();
+        EXPECT_GT(m.cache_hits, 0u);
+        // Parameter attributes skip the cache by design, so traffic is a
+        // subset of attributes visited.
+        EXPECT_GE(m.attributes, m.cache_hits + m.cache_misses);
     }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(mismatches.load(), 0);
-    search::AssocMetrics m = assoc.metrics();
-    EXPECT_GT(m.cache_hits, 0u);
-    // Parameter attributes skip the cache by design, so traffic is a
-    // subset of attributes visited.
-    EXPECT_GE(m.attributes, m.cache_hits + m.cache_misses);
 }
 
 TEST(Concurrency, ParallelReassociateMatchesFullAssociate) {
     search::SearchEngine engine(shared_corpus());
     model::SystemModel before = synth::centrifuge_model();
     model::SystemModel after = synth::centrifuge_model_hardened();
-    const std::string full_ref = fingerprint(search::associate(after, engine));
+    const std::string full_ref = fingerprint(oracle::associate(after, engine));
 
     for (bool cache_on : {false, true}) {
         search::AssocOptions opts;

@@ -6,6 +6,7 @@
 #include "dashboard/histogram.hpp"
 #include "dashboard/report.hpp"
 #include "dashboard/table.hpp"
+#include "oracle/association_reference.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -52,7 +53,7 @@ struct Fixture {
     kb::Corpus corpus = synth::generate_corpus(synth::CorpusProfile::scaled(0.1, 99));
     model::SystemModel m = synth::centrifuge_model();
     search::SearchEngine engine{corpus};
-    search::AssociationMap assoc = search::associate(m, engine);
+    search::AssociationMap assoc = oracle::associate(m, engine);
     analysis::SecurityPosture posture = analysis::compute_posture(m, assoc);
     safety::HazardModel hazards = synth::centrifuge_hazards();
     std::vector<safety::ConsequenceTrace> traces =

@@ -677,3 +677,46 @@ TEST(FaultSites, FleetTaskFailureDegradesToRecordedSystem) {
     // Recovery: the disarmed rerun has no failures.
     EXPECT_EQ(analysis::analyze_fleet(engine, options).failed, 0u);
 }
+
+TEST(FaultSites, FleetSharedCacheQueriesEachDistinctKeyOnce) {
+    // queries_run reports distinct keys, not executed queries. Count the
+    // executed ones at the recompute site, armed on a hit it never reaches:
+    // on one lane each miss is a key's first sight, so a fleet whose cache
+    // serves repeats runs exactly one query per distinct attribute key.
+    search::SearchEngine engine(small_corpus(), {});
+    std::vector<synth::ZooSystem> fleet;
+    std::set<std::string> keys;
+    std::size_t queried = 0; // attributes that go through the cache
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        synth::ZooConfig config;
+        config.domain = synth::all_zoo_domains()[seed % 4];
+        config.seed = seed;
+        config.components = 15;
+        fleet.push_back(synth::generate_zoo_system(config));
+        for (const model::Component& c : fleet.back().model.components()) {
+            if (!c.id.valid()) continue;
+            for (const model::Attribute& a : c.attributes) {
+                if (a.kind == model::AttributeKind::Parameter) continue;
+                ++queried;
+                std::string key = std::to_string(static_cast<int>(a.kind));
+                for (const std::string& t : search::QueryEngine::attribute_tokens(a))
+                    key += '\x1e' + t;
+                if (a.kind == model::AttributeKind::PlatformRef && a.platform.has_value())
+                    key += '\x1f' + a.platform->uri();
+                keys.insert(std::move(key));
+            }
+        }
+    }
+    ASSERT_LT(keys.size(), queried); // the fleet repeats keys
+
+    analysis::FleetOptions options;
+    options.threads = 1;
+    util::FaultScope probe("search.assoc.recompute=nth:1000000000");
+    const analysis::FleetResult result = analysis::analyze_fleet(engine, fleet, options);
+    const std::vector<util::FaultSiteReport> report = util::FaultInjector::instance().report();
+    ASSERT_EQ(report.size(), 1u);
+    EXPECT_EQ(report[0].fires, 0u);
+    EXPECT_EQ(report[0].hits, keys.size());
+    EXPECT_EQ(result.metrics.queries_run, keys.size());
+    EXPECT_EQ(result.failed, 0u);
+}

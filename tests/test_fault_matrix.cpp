@@ -451,6 +451,33 @@ const std::string& soak_snapshot_path() {
     return path;
 }
 
+/// A one-record feed tick for the delta.apply requests, written before
+/// faults arm. Re-applying it upserts the same record.
+const std::string& soak_delta_path() {
+    static const std::string path = [] {
+        kb::CorpusDelta delta;
+        kb::Weakness probe;
+        probe.id = kb::WeaknessId{900002};
+        probe.name = "Soak feed probe";
+        probe.description = "Relay accepts quillstone frames without verifying origin.";
+        delta.weaknesses.push_back(std::move(probe));
+        const std::string p = temp_path("fault_matrix_serve.delta");
+        util::write_file(p, kb::freeze_corpus_delta(delta));
+        return p;
+    }();
+    return path;
+}
+
+/// Every error response carries a code from the protocol's table.
+void expect_typed(const serve::Response& resp) {
+    if (resp.ok) return;
+    const auto& codes = serve::known_error_codes();
+    const bool known =
+        std::any_of(codes.begin(), codes.end(),
+                    [&](const serve::ErrorCodeInfo& c) { return c.wire == resp.error_code; });
+    EXPECT_TRUE(known) << "untyped error code: " << resp.error_code;
+}
+
 } // namespace
 
 TEST_P(FaultMatrixSoak, ServeOneResponsePerRequestUnderFaultMatrix) {
@@ -462,17 +489,21 @@ TEST_P(FaultMatrixSoak, ServeOneResponsePerRequestUnderFaultMatrix) {
     // on a connection that stays usable, so the conservation law is exact:
     // 48 pipelined requests in, 48 responses out, each id at most once,
     // id-0 responses (a decode fault fires before the id is parsed, so
-    // the server cannot echo it) covering exactly the remainder.
+    // the server cannot echo it) covering exactly the remainder. The three
+    // generation-changing requests run on the admin thread, the rest on
+    // the lanes.
     constexpr int kRequests = 48;
     {
         util::FaultScope scope("seed=" + std::to_string(seed) +
                                ";serve.request.decode=p:0.25"
                                ";serve.session.open=p:0.3"
-                               ";serve.swap.load=p:0.5");
+                               ";serve.swap.load=p:0.5"
+                               ";kb.delta.apply=p:0.3"
+                               ";serve.compact.fold=p:0.3");
         serve::BlockingClient client("127.0.0.1", server.port());
         for (int i = 0; i < kRequests; ++i) {
             serve::Request req;
-            switch (i % 6) {
+            switch (i % 8) {
             case 0: req.type = serve::MsgType::Ping; req.text = "probe"; break;
             case 1: req.type = serve::MsgType::SessionOpen; break;
             case 2:
@@ -484,13 +515,18 @@ TEST_P(FaultMatrixSoak, ServeOneResponsePerRequestUnderFaultMatrix) {
                 // May race an open that failed or has not executed yet —
                 // unknown_session is then the correct typed answer.
                 req.type = serve::MsgType::Associate;
-                req.session = "s-" + std::to_string(i / 6 + 1);
+                req.session = "s-" + std::to_string(i / 8 + 1);
                 break;
             case 4: req.type = serve::MsgType::SessionList; break;
             case 5:
                 req.type = serve::MsgType::SnapshotSwap;
                 req.snapshot = soak_snapshot_path();
                 break;
+            case 6:
+                req.type = serve::MsgType::DeltaApply;
+                req.delta = soak_delta_path();
+                break;
+            case 7: req.type = serve::MsgType::Compact; break;
             }
             client.send(req);
         }
@@ -508,13 +544,7 @@ TEST_P(FaultMatrixSoak, ServeOneResponsePerRequestUnderFaultMatrix) {
                 EXPECT_FALSE(answered[idx]) << "duplicate response for id " << resp.id;
                 answered[idx] = true;
             }
-            if (!resp.ok) {
-                const auto& codes = serve::known_error_codes();
-                const bool known = std::any_of(
-                    codes.begin(), codes.end(),
-                    [&](const serve::ErrorCodeInfo& c) { return c.wire == resp.error_code; });
-                EXPECT_TRUE(known) << "untyped error code: " << resp.error_code;
-            }
+            expect_typed(resp);
         }
         const auto echoed = std::count(answered.begin() + 1, answered.end(), true);
         EXPECT_EQ(echoed + anonymous, kRequests);
@@ -559,8 +589,48 @@ TEST_P(FaultMatrixSoak, ServeOneResponsePerRequestUnderFaultMatrix) {
         EXPECT_TRUE(resp.ok);
         EXPECT_EQ(resp.body.get_string("echo"), "healthy");
     }
-    server.stop();
-    server.wait();
+
+    // Phase 3 — stop() with admin requests still queued. A ping pipelined
+    // behind a burst of delta.apply/compact proves the IO thread admitted
+    // the burst; stop() then lands while the admin thread is still working
+    // through it, and must answer every admitted request exactly once
+    // before wait() returns.
+    {
+        util::FaultScope scope("seed=" + std::to_string(seed + 128) +
+                               ";kb.delta.apply=p:0.3;serve.compact.fold=p:0.3");
+        serve::BlockingClient client("127.0.0.1", server.port());
+        constexpr int kAdmin = 12;
+        for (int i = 0; i < kAdmin; ++i) {
+            serve::Request req;
+            req.type = i % 2 == 0 ? serve::MsgType::DeltaApply : serve::MsgType::Compact;
+            req.delta = soak_delta_path();
+            client.send(req);
+        }
+        serve::Request ping;
+        ping.type = serve::MsgType::Ping;
+        client.send(ping);
+        const std::int64_t ping_id = client.last_id();
+        std::vector<bool> answered(kAdmin + 1, false);
+        auto record = [&](const serve::Response& resp) {
+            ASSERT_GE(resp.id, 1);
+            ASSERT_LE(resp.id, kAdmin);
+            EXPECT_FALSE(answered[static_cast<std::size_t>(resp.id)])
+                << "duplicate response for id " << resp.id;
+            answered[static_cast<std::size_t>(resp.id)] = true;
+            expect_typed(resp);
+        };
+        int admin_responses = 0;
+        for (;;) {
+            const serve::Response resp = client.receive();
+            if (resp.id == ping_id) break;
+            record(resp);
+            ++admin_responses;
+        }
+        server.stop();
+        for (; admin_responses < kAdmin; ++admin_responses) record(client.receive());
+        server.wait();
+        EXPECT_EQ(std::count(answered.begin() + 1, answered.end(), true), kAdmin);
+    }
 }
 
 // ------------------------------ (e) delta + compaction soak oracle

@@ -14,6 +14,7 @@
 #include "model/diff.hpp"
 #include "model/dsl.hpp"
 #include "model/export.hpp"
+#include "oracle/association_reference.hpp"
 #include "search/association.hpp"
 #include "search/filters.hpp"
 #include "kb/serialize.hpp"
@@ -169,7 +170,7 @@ TEST_P(SeededProperty, IncrementalAssociationEqualsFull) {
     cfg.seed = GetParam() * 31;
     cfg.components = 14;
     model::SystemModel before = synth::generate_model(cfg);
-    search::AssociationMap before_map = search::associate(before, engine);
+    search::AssociationMap before_map = oracle::associate(before, engine);
 
     // Random edit: touch a random component's attribute.
     Rng rng(GetParam() + 999);
@@ -183,8 +184,11 @@ TEST_P(SeededProperty, IncrementalAssociationEqualsFull) {
     if (rng.chance(0.5)) after.remove_component(comps.front().id);
 
     model::ModelDiff d = model::diff(before, after);
-    search::AssociationMap incremental = search::reassociate(before_map, d, after, engine);
-    search::AssociationMap full = search::associate(after, engine);
+    search::AssocOptions options;
+    options.threads = 1;
+    search::Associator associator(engine, options);
+    search::AssociationMap incremental = associator.reassociate(before_map, d, after);
+    search::AssociationMap full = oracle::associate(after, engine);
     ASSERT_EQ(incremental.components.size(), full.components.size());
     for (std::size_t i = 0; i < full.components.size(); ++i) {
         SCOPED_TRACE(full.components[i].component);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "oracle/association_reference.hpp"
 #include "safety/scenarios.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
@@ -15,7 +16,7 @@ struct Fixture {
     model::SystemModel m = synth::centrifuge_model();
     HazardModel hazards = synth::centrifuge_hazards();
     search::SearchEngine engine{corpus};
-    search::AssociationMap assoc = search::associate(m, engine);
+    search::AssociationMap assoc = oracle::associate(m, engine);
     std::vector<CausalScenario> scenarios = generate_scenarios(m, hazards, assoc);
 };
 Fixture& fixture() {

@@ -342,6 +342,22 @@ model::SystemModel assoc_model() {
 }
 } // namespace
 
+namespace {
+// One-shot associations through the library path, an inline Associator.
+AssociationMap associate(const model::SystemModel& m, const QueryEngine& engine) {
+    AssocOptions options;
+    options.threads = 1;
+    return Associator(engine, options).associate(m);
+}
+
+AssociationMap reassociate(const AssociationMap& previous, const model::ModelDiff& diff,
+                           const model::SystemModel& after, const QueryEngine& engine) {
+    AssocOptions options;
+    options.threads = 1;
+    return Associator(engine, options).reassociate(previous, diff, after);
+}
+} // namespace
+
 TEST(Association, CountsPerComponentAndClass) {
     kb::Corpus corpus = tiny_corpus();
     SearchEngine engine(corpus, relaxed());

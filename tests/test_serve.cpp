@@ -18,6 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include "analysis/fleet.hpp"
 #include "kb/delta.hpp"
 #include "model/dsl.hpp"
 #include "serve/client.hpp"
@@ -64,9 +69,9 @@ std::string write_snapshot(const std::string& name) {
     return path;
 }
 
-/// Freeze a one-record feed tick to a temp path and return it: a probe
-/// weakness whose vocabulary no base query hits.
-std::string write_probe_delta(const std::string& name) {
+/// A frozen one-record feed tick: a probe weakness whose vocabulary no
+/// base query hits.
+std::string probe_delta_bytes() {
     kb::CorpusDelta delta;
     kb::Weakness probe;
     probe.id = kb::WeaknessId{900001};
@@ -74,8 +79,13 @@ std::string write_probe_delta(const std::string& name) {
     probe.description =
         "Relay accepts glimmerwick maintenance frames without verifying origin.";
     delta.weaknesses.push_back(std::move(probe));
+    return kb::freeze_corpus_delta(delta);
+}
+
+/// Write the probe feed tick to a temp path and return it.
+std::string write_probe_delta(const std::string& name) {
     const std::string path = (std::filesystem::temp_directory_path() / name).string();
-    util::write_file(path, kb::freeze_corpus_delta(delta));
+    util::write_file(path, probe_delta_bytes());
     return path;
 }
 
@@ -486,6 +496,92 @@ TEST(ServeServer, DeltaApplyMakesRecordsVisibleAndCompactKeepsThem) {
     EXPECT_EQ(noop.body.get_int("generation"), 3);
 
     std::filesystem::remove(path);
+}
+
+TEST(ServeServer, QueryIsAnsweredWhileAnAdminRequestRuns) {
+    // One lane. A delta.apply whose path is a FIFO blocks in open() until
+    // this test opens the write end, which it does only after the query
+    // pipelined behind it has been answered. The query can only come back
+    // first if the admin request runs off the request lane.
+    const std::string fifo =
+        (std::filesystem::temp_directory_path() /
+         ("serve_admin_hold_" + std::to_string(::getpid()) + ".fifo"))
+            .string();
+    std::filesystem::remove(fifo);
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+    ServerOptions options;
+    options.lanes = 1;
+    ServerFixture fixture(options);
+    BlockingClient client = fixture.connect();
+    Request apply = make_request(MsgType::DeltaApply);
+    apply.delta = fifo;
+    client.send(std::move(apply));
+    const std::int64_t apply_id = client.last_id();
+    Request query = make_request(MsgType::Query);
+    query.text = "buffer overflow";
+    query.limit = 3;
+    client.send(std::move(query));
+    const std::int64_t query_id = client.last_id();
+
+    std::future<Response> first = std::async(std::launch::async, [&] { return client.receive(); });
+    const bool in_time = first.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    EXPECT_TRUE(in_time) << "the query waited behind the admin request";
+
+    // Release the admin request: write the feed tick into the FIFO.
+    const int fd = ::open(fifo.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    const std::string blob = probe_delta_bytes();
+    EXPECT_EQ(::write(fd, blob.data(), blob.size()), static_cast<ssize_t>(blob.size()));
+    ::close(fd);
+
+    const Response r1 = first.get();
+    const Response r2 = client.receive();
+    EXPECT_EQ(r1.id, query_id);
+    EXPECT_TRUE(r1.ok);
+    EXPECT_EQ(r2.id, apply_id);
+    ASSERT_TRUE(r2.ok) << r2.error_message;
+    EXPECT_EQ(r2.body.get_int("generation"), 2);
+    std::filesystem::remove(fifo);
+}
+
+TEST(ServeServer, EqualFleetRequestsAnswerByteEqual) {
+    // PROTOCOL promises byte-deterministic fleet.analyze output: counts
+    // (queries_run included) may not depend on which lane ran the request
+    // or on what else shared the fleet's cache.
+    ServerOptions options;
+    options.lanes = 2;
+    ServerFixture fixture(options);
+    BlockingClient client = fixture.connect();
+    for (int i = 0; i < 2; ++i) {
+        Request fleet = make_request(MsgType::FleetAnalyze);
+        fleet.systems = 6;
+        fleet.components = 12;
+        fleet.seed = 5;
+        client.send(std::move(fleet));
+    }
+    const Response a = client.receive();
+    const Response b = client.receive();
+    ASSERT_TRUE(a.ok) << a.error_message;
+    ASSERT_TRUE(b.ok) << b.error_message;
+    EXPECT_EQ(json::dump(a.body), json::dump(b.body));
+    EXPECT_GT(a.body.at("metrics").get_int("queries_run"), 0);
+    EXPECT_LT(a.body.at("metrics").get_int("queries_run"),
+              a.body.at("metrics").get_int("attributes"));
+
+    // In process, the same counts at any thread count (`threads` itself
+    // echoes the option).
+    const auto counts = [](std::size_t threads) {
+        analysis::FleetOptions fleet;
+        fleet.systems = 6;
+        fleet.components = 12;
+        fleet.base_seed = 5;
+        fleet.threads = threads;
+        search::AssocMetrics m = analysis::analyze_fleet(serve_engine()->query(), fleet).metrics;
+        m.threads = 1;
+        return json::dump(m.to_json());
+    };
+    EXPECT_EQ(counts(4), counts(1));
 }
 
 TEST(ServeServer, SixtyFourConcurrentSessionsServeConcurrently) {

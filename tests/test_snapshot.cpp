@@ -14,6 +14,7 @@
 
 #include "core/session.hpp"
 #include "kb/snapshot.hpp"
+#include "oracle/association_reference.hpp"
 #include "search/association.hpp"
 #include "search/engine.hpp"
 #include "synth/corpus_gen.hpp"
@@ -319,8 +320,8 @@ TEST(SnapshotEngine, ThawedEngineAnswersQueriesIdentically) {
 
     // Whole-model association equality (all three record classes at once).
     model::SystemModel scada = synth::centrifuge_model();
-    EXPECT_EQ(fingerprint(search::associate(scada, *snap.engine)),
-              fingerprint(search::associate(scada, fresh)));
+    EXPECT_EQ(fingerprint(oracle::associate(scada, *snap.engine)),
+              fingerprint(oracle::associate(scada, fresh)));
 }
 
 TEST(SnapshotEngine, RejectsCorruptEngineBlobs) {
@@ -435,8 +436,8 @@ TEST(SnapshotMmap, RewritingTheMappedPathLeavesTheMappingIntact) {
 
     const search::SearchEngine fresh(shared_corpus());
     model::SystemModel scada = synth::centrifuge_model();
-    EXPECT_EQ(fingerprint(search::associate(scada, *mapped->engine)),
-              fingerprint(search::associate(scada, fresh)));
+    EXPECT_EQ(fingerprint(oracle::associate(scada, *mapped->engine)),
+              fingerprint(oracle::associate(scada, fresh)));
 
     std::remove(path.c_str());
 }
@@ -454,8 +455,8 @@ TEST(SnapshotMmap, MappedAndOwningThawsAgreeExactly) {
 
     EXPECT_EQ(search::freeze_engine(*mapped.engine), search::freeze_engine(*owning.engine));
     model::SystemModel scada = synth::centrifuge_model();
-    EXPECT_EQ(fingerprint(search::associate(scada, *mapped.engine)),
-              fingerprint(search::associate(scada, *owning.engine)));
+    EXPECT_EQ(fingerprint(oracle::associate(scada, *mapped.engine)),
+              fingerprint(oracle::associate(scada, *owning.engine)));
 
     std::remove(path.c_str());
 }

@@ -2,6 +2,7 @@
 
 #include "dashboard/vector_graph.hpp"
 #include "graph/graphml.hpp"
+#include "oracle/association_reference.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/scada.hpp"
 
@@ -13,7 +14,7 @@ struct Fixture {
     kb::Corpus corpus = synth::generate_corpus(synth::CorpusProfile::scaled(0.1, 99));
     model::SystemModel m = synth::centrifuge_model();
     search::SearchEngine engine{corpus};
-    search::AssociationMap assoc = search::associate(m, engine);
+    search::AssociationMap assoc = oracle::associate(m, engine);
 };
 Fixture& fixture() {
     static Fixture f;

@@ -17,6 +17,7 @@
 #include "flow/flow.hpp"
 #include "lint/lint.hpp"
 #include "model/dsl.hpp"
+#include "oracle/association_reference.hpp"
 #include "search/association.hpp"
 #include "search/engine.hpp"
 #include "synth/corpus_gen.hpp"
@@ -53,7 +54,7 @@ std::string hex_double(double v) {
 /// The analysis digest pinned per domain: flow fingerprint, top-3 attack
 /// paths against hazard-linked targets, and the full lint stream.
 std::string analysis_digest(const synth::ZooSystem& sys) {
-    const search::AssociationMap assoc = search::associate(sys.model, golden_engine());
+    const search::AssociationMap assoc = oracle::associate(sys.model, golden_engine());
     const flow::FlowResult flow_result =
         flow::analyze(sys.model, assoc, &sys.hazards);
 

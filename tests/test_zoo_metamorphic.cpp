@@ -20,6 +20,7 @@
 #include "analysis/fleet.hpp"
 #include "flow/flow.hpp"
 #include "lint/lint.hpp"
+#include "oracle/association_reference.hpp"
 #include "search/association.hpp"
 #include "synth/corpus_gen.hpp"
 #include "synth/zoo.hpp"
@@ -64,7 +65,7 @@ std::optional<PlatformRefSite> find_platform_ref(const model::SystemModel& m) {
 
 std::vector<lint::Diagnostic> f003_diagnostics(const model::SystemModel& m,
                                                const safety::HazardModel& hazards) {
-    const search::AssociationMap assoc = search::associate(m, shared_engine());
+    const search::AssociationMap assoc = oracle::associate(m, shared_engine());
     lint::LintInput input;
     input.model = &m;
     input.hazards = &hazards;
@@ -125,7 +126,7 @@ TEST(ZooMetamorphic, DisconnectedComponentLeavesFlowUntouched) {
         const synth::ZooDomain domain = synth::all_zoo_domains()[i % 4];
         synth::ZooSystem sys = make_system(domain, kSeeds[i], 30);
 
-        const search::AssociationMap assoc = search::associate(sys.model, shared_engine());
+        const search::AssociationMap assoc = oracle::associate(sys.model, shared_engine());
         const flow::FlowResult before =
             flow::analyze(sys.model, assoc, &sys.hazards);
 
@@ -138,7 +139,7 @@ TEST(ZooMetamorphic, DisconnectedComponentLeavesFlowUntouched) {
         role.fidelity = model::Fidelity::Functional;
         sys.model.set_attribute(orphan, std::move(role));
 
-        const search::AssociationMap assoc2 = search::associate(sys.model, shared_engine());
+        const search::AssociationMap assoc2 = oracle::associate(sys.model, shared_engine());
         flow::FlowResult after = flow::analyze(sys.model, assoc2, &sys.hazards);
 
         // The orphan has no edges and is not external-facing: zero taint,

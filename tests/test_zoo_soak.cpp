@@ -6,7 +6,9 @@
 //   * a 16-seed fault soak arming synth.zoo.gen and analysis.fleet.task
 //     probabilistically — every run completes, failures are recorded
 //     per-system and ranked last, and a disarmed rerun is byte-identical
-//     to the clean reference.
+//     to the clean reference — then arming the fleet's shared query cache
+//     (search.cache.get/put) and one transient recompute failure, which
+//     are absorbed without changing a byte of the ranking.
 
 #include <gtest/gtest.h>
 
@@ -84,5 +86,17 @@ TEST(ZooSoak, FaultSoakDegradesPerSystemAndRecovers) {
         // Disarmed, the very next run reproduces the clean reference.
         EXPECT_EQ(analysis::analyze_fleet(shared_engine(), options).fingerprint(), clean)
             << "seed " << seed << " left residue";
+
+        // Faults the shared cache absorbs: a failed get is a miss, a failed
+        // put skips caching, and a single failed recompute is retried.
+        {
+            util::FaultScope scope("seed=" + std::to_string(seed) +
+                                   ";search.cache.get=p:0.3;search.cache.put=p:0.3"
+                                   ";search.assoc.recompute=nth:" + std::to_string(2 * seed));
+            const analysis::FleetResult absorbed =
+                analysis::analyze_fleet(shared_engine(), options);
+            EXPECT_EQ(absorbed.failed, 0u) << "seed " << seed;
+            EXPECT_EQ(absorbed.fingerprint(), clean) << "seed " << seed;
+        }
     }
 }
